@@ -212,6 +212,39 @@ func BenchmarkAlgorithm1FullPC(b *testing.B) {
 	}
 }
 
+// BenchmarkFillCheckPass measures one Algorithm 1 fill/check pass —
+// the unit of work under every reliability point — at the service's
+// sweep shape: a scale-1024 board (8192 words per pseudo channel, on
+// the exact-timing side of the DRAM model), the sparse fault sampler,
+// sensitive port 18 at 0.90 V. The pass costs time in proportion to the
+// faults it touches: the DRAM timing replays from the memo, the write
+// is one fill run, and only faulted words are compared.
+func BenchmarkFillCheckPass(b *testing.B) {
+	for _, pat := range []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros(), pattern.Checkerboard()} {
+		b.Run(pat.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			brd := board.MustNew(board.Config{Scale: 1024, SparseFaults: true})
+			brd.Device.SetVoltage(0.90)
+			tg := brd.TGs[18]
+			words := brd.Org.WordsPerPC
+			prog := axi.FillCheckProgram(pat, 0, words)
+			b.ResetTimer()
+			var st axi.Stats
+			for i := 0; i < b.N; i++ {
+				if err := tg.Reset(); err != nil {
+					b.Fatal(err)
+				}
+				var err error
+				if st, err = tg.Run(prog); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "passes/sec")
+			b.ReportMetric(float64(st.Flips.Total()), "flips")
+		})
+	}
+}
+
 // BenchmarkReliabilitySweep measures the full-grid Algorithm 1 sweep
 // (1.20V→0.81V, both patterns, every port, sparse sampler) under the
 // sweep scheduler at increasing board-fleet sizes. Results are

@@ -93,7 +93,6 @@ type Port struct {
 	enabled  bool
 	ctl      *dramctl.Controller
 	timing   dramctl.Timing
-	geom     dramctl.Geometry
 }
 
 // PortConfig parameterizes a port.
@@ -140,7 +139,6 @@ func NewPort(id hbm.PortID, dev *hbm.Device, sw *Switch, cfg PortConfig) (*Port,
 		enabled:  true,
 		ctl:      ctl,
 		timing:   cfg.Timing,
-		geom:     geom,
 	}, nil
 }
 
@@ -245,11 +243,7 @@ func (p *Port) ReadCheckRange(start, count uint64, pat pattern.Pattern) (pattern
 // ResetTiming discards the DRAM-side timing state (the per-batch
 // reset_axi_ports() of Algorithm 1).
 func (p *Port) ResetTiming() error {
-	ctl, err := dramctl.New(p.timing, p.geom)
-	if err != nil {
-		return err
-	}
-	p.ctl = ctl
+	p.ctl.Reset()
 	return nil
 }
 

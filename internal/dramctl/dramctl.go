@@ -106,8 +106,19 @@ const (
 
 // Controller simulates command timing for one pseudo channel.
 type Controller struct {
-	t   Timing
-	g   Geometry
+	t Timing
+	g Geometry
+	state
+	// memo is the timing-memo node whose snapshot equals the present
+	// state, or nil once the controller has left the memo path (a direct
+	// Access, an extrapolated range, or a full memo). root is the fresh
+	// state's node, where Reset returns.
+	memo, root *memoNode
+}
+
+// state is everything AccessRange and Access mutate: the part of a
+// controller the timing memo snapshots and restores.
+type state struct {
 	now float64 // current cycle
 
 	banks []bankState
@@ -166,14 +177,35 @@ func New(t Timing, g Geometry) (*Controller, error) {
 	if g.BankGroups <= 0 || g.BanksPerGroup <= 0 || g.WordsPerRow == 0 {
 		return nil, fmt.Errorf("dramctl: invalid geometry %+v", g)
 	}
+	c := newController(t, g)
+	c.root = memoRoot(t, g)
+	c.memo = c.root
+	return c, nil
+}
+
+// newController builds a fresh controller without validation or memo.
+func newController(t Timing, g Geometry) *Controller {
 	c := &Controller{t: t, g: g}
 	c.banks = make([]bankState, g.BankGroups*g.BanksPerGroup)
+	c.clear()
+	return c
+}
+
+// clear sets the state to a fresh controller's, keeping the bank slice.
+func (c *Controller) clear() {
+	c.state = state{banks: c.banks}
 	for i := range c.banks {
-		c.banks[i].openRow = -1
+		c.banks[i] = bankState{openRow: -1}
 	}
-	_, refi := t.cyclesPerRefresh()
+	_, refi := c.t.cyclesPerRefresh()
 	c.nextRefresh = refi
-	return c, nil
+}
+
+// Reset returns the controller to the state New built it in, without
+// allocating.
+func (c *Controller) Reset() {
+	c.clear()
+	c.memo = c.root
 }
 
 // decode splits a word address into (bank index, row, bank group). The
@@ -194,7 +226,14 @@ func (c *Controller) decode(addr uint64) (bank int, row int64, group int) {
 // completion cycle. Bank preparation (precharge/activate) proceeds on
 // each bank's own timeline and overlaps with other banks' data
 // transfers; only the column data phase serializes on the shared bus.
+// A direct Access takes the controller off the timing memo's path.
 func (c *Controller) Access(addr uint64, op Op) float64 {
+	c.memo = nil
+	return c.access(addr, op)
+}
+
+// access is Access without touching the memo position.
+func (c *Controller) access(addr uint64, op Op) float64 {
 	c.refreshIfDue()
 	bank, row, group := c.decode(addr)
 	b := &c.banks[bank]
@@ -299,13 +338,7 @@ func steadyFor(t Timing, g Geometry, op Op) steadyState {
 	if v, ok := steadyCache.Load(key); ok {
 		return v.(steadyState)
 	}
-	c := &Controller{t: t, g: g}
-	c.banks = make([]bankState, g.BankGroups*g.BanksPerGroup)
-	for i := range c.banks {
-		c.banks[i].openRow = -1
-	}
-	_, refi := t.cyclesPerRefresh()
-	c.nextRefresh = refi
+	c := newController(t, g)
 	for a := uint64(0); a < bulkWarmup; a++ {
 		c.Access(a, op)
 	}
@@ -323,7 +356,9 @@ func steadyFor(t Timing, g Geometry, op Op) steadyState {
 
 // AccessRange schedules count sequential 256-bit operations starting at
 // start and returns the completion cycle of the last one. Short ranges
-// are scheduled exactly; long ones advance the clock at the calibrated
+// are scheduled exactly — replayed from the timing memo when the same
+// range sequence has run before on a fresh controller of the same
+// timing and geometry; long ones advance the clock at the calibrated
 // steady-state rate (one multiplication instead of count schedule
 // steps), which keeps statistics and elapsed time representative while
 // making full pseudo-channel macros O(1). This is the bulk data path's
@@ -333,12 +368,23 @@ func (c *Controller) AccessRange(start, count uint64, op Op) float64 {
 		return c.now
 	}
 	if count <= bulkExactThreshold {
+		key := memoKey{parent: c.memo, start: start, count: count, op: op}
+		if c.memo != nil {
+			if n := memoLookup(key); n != nil {
+				c.restore(n)
+				return n.done
+			}
+		}
 		var done float64
 		for a := start; a < start+count; a++ {
-			done = c.Access(a, op)
+			done = c.access(a, op)
+		}
+		if c.memo != nil {
+			c.memo = memoStore(key, c, done)
 		}
 		return done
 	}
+	c.memo = nil
 	st := steadyFor(c.t, c.g, op)
 	c.refreshIfDue()
 	base := c.now

@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"hbmvolt/internal/prf"
@@ -56,7 +58,7 @@ func buildClusters(seed uint64, stack, pc int, rowsPerPC uint64, frac float64, c
 			raw = append(raw, rowRange{start, end})
 		}
 	}
-	sort.Slice(raw, func(i, j int) bool { return raw[i].Lo < raw[j].Lo })
+	slices.SortFunc(raw, func(a, b rowRange) int { return cmp.Compare(a.Lo, b.Lo) })
 	// Merge overlaps so coverage accounting is exact.
 	merged := make([]rowRange, 0, len(raw))
 	for _, r := range raw {

@@ -143,17 +143,7 @@ func (m *Model) Enumerate(stack, pc int, v float64, rep, words uint64) *Enumerat
 		}
 		n := hi - lo
 		if lam := float64(n) * 256 * p; lam <= sparseEnumThreshold {
-			wpr := s.wordsPerRow
-			for r := lo / wpr; r*wpr < hi; r++ {
-				rlo, rhi := r*wpr, (r+1)*wpr
-				if rlo < lo {
-					rlo = lo
-				}
-				if rhi > hi {
-					rhi = hi
-				}
-				s.sparseRowFaults(r, rlo, rhi, p, t, add)
-			}
+			s.sparseSegmentFaults(lo, hi, p, t, add)
 			return
 		}
 		// Aggregate regime: draw the segment's stuck-at-0/1 cell counts

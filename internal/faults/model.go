@@ -548,13 +548,17 @@ func (g *grouper) flush() {
 // read returns.
 func Overlay(w pattern.Word, fs []CellFault) pattern.Word {
 	for _, f := range fs {
-		if f.Polarity == StuckAt0 {
-			w = w.SetBit(f.Bit, 0)
-		} else {
-			w = w.SetBit(f.Bit, 1)
-		}
+		w = f.apply(w)
 	}
 	return w
+}
+
+// apply returns w as read through the stuck cell f.
+func (f CellFault) apply(w pattern.Word) pattern.Word {
+	if f.Polarity == StuckAt0 {
+		return w.SetBit(f.Bit, 0)
+	}
+	return w.SetBit(f.Bit, 1)
 }
 
 // MightFault reports whether any cell of the sampled PC can be stuck at

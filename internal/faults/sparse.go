@@ -25,8 +25,10 @@ package faults
 // within Poisson bounds.
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"hbmvolt/internal/pattern"
 	"hbmvolt/internal/prf"
@@ -89,25 +91,61 @@ func (s *Sampler) segments(start, end uint64, visit func(lo, hi uint64, in bool)
 // sparseRange enumerates the sparse-mode faults of [start, start+count)
 // in ascending (address, bit) order.
 func (s *Sampler) sparseRange(start, count uint64, visit func(addr uint64, f CellFault)) {
-	end := start + count
-	wpr := s.wordsPerRow
-	s.segments(start, end, func(lo, hi uint64, in bool) {
+	s.segments(start, start+count, func(lo, hi uint64, in bool) {
 		p, t := s.regionParams(in)
-		if p <= 0 {
-			return
-		}
-		for r := lo / wpr; r*wpr < hi; r++ {
-			rlo, rhi := r*wpr, (r+1)*wpr
-			if rlo < lo {
-				rlo = lo
-			}
-			if rhi > hi {
-				rhi = hi
-			}
-			s.sparseRowFaults(r, rlo, rhi, p, t, visit)
-		}
+		s.sparseSegmentFaults(lo, hi, p, t, visit)
 	})
 }
+
+// sparseSegmentFaults yields the faults of the homogeneous segment
+// [lo, hi) (cell stuck probability p, stuck-at-0 tail t) row by row,
+// in ascending (address, bit) order.
+func (s *Sampler) sparseSegmentFaults(lo, hi uint64, p, t float64, visit func(addr uint64, f CellFault)) {
+	if p <= 0 || lo >= hi {
+		return
+	}
+	d := newRowDraw(int(s.wordsPerRow)*256, p, t)
+	wpr := s.wordsPerRow
+	for r := lo / wpr; r*wpr < hi; r++ {
+		rlo, rhi := r*wpr, (r+1)*wpr
+		if rlo < lo {
+			rlo = lo
+		}
+		if rhi > hi {
+			rhi = hi
+		}
+		s.sparseRowFaults(r, rlo, rhi, &d, visit)
+	}
+}
+
+// rowDraw holds the per-row draw parameters that depend only on the
+// segment, computed once per segment instead of once per row.
+type rowDraw struct {
+	nBits   int
+	p1Share float64 // share of drawn faults that are stuck-at-1
+	binom   binomial
+}
+
+func newRowDraw(nBits int, p, t float64) rowDraw {
+	return rowDraw{
+		nBits:   nBits,
+		p1Share: (p - t) * pStuckAt1 / p,
+		binom:   newBinomial(nBits, p),
+	}
+}
+
+// posFault is one drawn fault: bit position within the row, polarity.
+type posFault struct {
+	pos int
+	pol Polarity
+}
+
+// rowScratch is a reusable position buffer for sparseRowFaults. Scratch
+// lives in a pool, not on the Sampler, which stays immutable and safe
+// for concurrent use.
+type rowScratch struct{ buf []posFault }
+
+var rowScratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
 // sparseRowFaults draws row's fault count and positions and yields the
 // faults whose word address falls in [lo, hi). The draws depend only on
@@ -115,44 +153,44 @@ func (s *Sampler) sparseRange(start, count uint64, visit func(addr uint64, f Cel
 // previously evaluated voltage point, so overlapping range scans — and
 // sweeps sharded across a board fleet in any order — observe one
 // consistent device.
-func (s *Sampler) sparseRowFaults(row, lo, hi uint64, p, t float64, visit func(addr uint64, f CellFault)) {
-	if lo >= hi || p <= 0 {
+func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d *rowDraw, visit func(addr uint64, f CellFault)) {
+	if lo >= hi {
 		return
 	}
-	nBits := int(s.wordsPerRow) * 256
 	src := prf.NewSource(prf.Hash5(s.seed^saltSparse, uint64(s.idx), row, s.rep, s.vbits))
-	k := binomialDraw(src, nBits, p)
+	k := d.binom.draw(src)
 	if k == 0 {
 		return
 	}
-	p1Share := (p - t) * pStuckAt1 / p
-	type posFault struct {
-		pos int
-		pol Polarity
-	}
+	sc := rowScratchPool.Get().(*rowScratch)
+	defer rowScratchPool.Put(sc)
 	// Each fault consumes exactly two stream words (position, polarity),
 	// so the draws are pulled in blocks via Fill — identical values to
 	// sequential Intn/Float64 calls, without the per-draw call setup.
-	buf := make([]posFault, 0, k)
+	buf := sc.buf[:0]
 	var draws [256]uint64
 	for j := 0; j < k; {
 		chunk := k - j
 		if chunk > len(draws)/2 {
 			chunk = len(draws) / 2
 		}
-		d := draws[:2*chunk]
-		src.Fill(d)
+		dr := draws[:2*chunk]
+		src.Fill(dr)
 		for c := 0; c < chunk; c++ {
-			pos := int(d[2*c] % uint64(nBits))
+			pos := int(dr[2*c] % uint64(d.nBits))
 			pol := StuckAt0
-			if prf.Float64(d[2*c+1]) < p1Share {
+			if prf.Float64(dr[2*c+1]) < d.p1Share {
 				pol = StuckAt1
 			}
 			buf = append(buf, posFault{pos, pol})
 		}
 		j += chunk
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i].pos < buf[j].pos })
+	sc.buf = buf
+	// On a collision the polarity that survives is the one this
+	// (unstable) pdqsort orders first; changing the sort changes the
+	// realization.
+	slices.SortFunc(buf, func(a, b posFault) int { return cmp.Compare(a.pos, b.pos) })
 	rowBase := row * s.wordsPerRow
 	prev := -1
 	for _, pf := range buf {
@@ -168,51 +206,95 @@ func (s *Sampler) sparseRowFaults(row, lo, hi uint64, p, t float64, visit func(a
 	}
 }
 
-// binomialDraw returns a deterministic Binomial(n, p) variate from src:
-// Poisson inversion in the sparse regime, a clamped normal approximation
-// otherwise.
-func binomialDraw(src *prf.Source, n int, p float64) int {
-	if p <= 0 || n <= 0 {
+// binomial draws deterministic Binomial(n, p) variates: Poisson
+// inversion in the sparse regime, a clamped normal approximation
+// otherwise. The parameters that depend only on (n, p) — including
+// exp(-λ) — are computed once, when the binomial is built.
+type binomial struct {
+	n       int
+	p, lam  float64
+	poisson bool
+	expNeg  float64 // exp(-λ), Poisson regime
+	sd      float64 // sqrt(λ(1-p)), normal regime
+}
+
+func newBinomial(n int, p float64) binomial {
+	b := binomial{n: n, p: p, lam: float64(n) * p}
+	if p <= 0 || n <= 0 || p >= 1 {
+		return b
+	}
+	b.poisson = b.lam < 32 && p < 0.1
+	if b.poisson {
+		b.expNeg = math.Exp(-b.lam)
+	} else {
+		b.sd = math.Sqrt(b.lam * (1 - p))
+	}
+	return b
+}
+
+// draw returns one variate from src.
+func (b *binomial) draw(src *prf.Source) int {
+	if b.p <= 0 || b.n <= 0 {
 		return 0
 	}
-	if p >= 1 {
-		return n
+	if b.p >= 1 {
+		return b.n
 	}
-	lam := float64(n) * p
-	if lam < 32 && p < 0.1 {
+	if b.poisson {
 		u := src.Float64()
-		acc := math.Exp(-lam)
+		acc := b.expNeg
 		cum := acc
 		k := 0
-		for u > cum && k < n {
+		for u > cum && k < b.n {
 			k++
-			acc *= lam / float64(k)
+			acc *= b.lam / float64(k)
 			cum += acc
 		}
 		return k
 	}
-	k := int(math.Round(lam + src.Norm()*math.Sqrt(lam*(1-p))))
+	k := int(math.Round(b.lam + src.Norm()*b.sd))
 	if k < 0 {
 		return 0
 	}
-	if k > n {
-		return n
+	if k > b.n {
+		return b.n
 	}
 	return k
 }
 
 // adjuster corrects a uniform expected/stored baseline for a stream of
-// faulted words: each one is re-read with its overlay and its Compare
-// result replaces the baseline's contribution.
+// faults grouped by word in ascending address order: each faulted word
+// is re-read with its overlay — applied fault by fault as the stream
+// arrives, so no per-word buffer is kept — and its Compare result
+// replaces the baseline's contribution.
 type adjuster struct {
 	expected, stored pattern.Word
 	base             pattern.Flips
 	flips            *pattern.Flips
 	faulty           *uint64
+	cur              uint64
+	read             pattern.Word // cur's stored word with its faults so far
+	active           bool
 }
 
-func (a *adjuster) word(_ uint64, fs []CellFault) {
-	f := pattern.Compare(a.expected, Overlay(a.stored, fs))
+// add folds one fault of word addr into the read-back of that word.
+func (a *adjuster) add(addr uint64, f CellFault) {
+	if a.active && addr != a.cur {
+		a.flush()
+	}
+	if !a.active {
+		a.cur, a.read, a.active = addr, a.stored, true
+	}
+	a.read = f.apply(a.read)
+}
+
+// flush settles the word in progress.
+func (a *adjuster) flush() {
+	if !a.active {
+		return
+	}
+	a.active = false
+	f := pattern.Compare(a.expected, a.read)
 	a.flips.OneToZero += f.OneToZero - a.base.OneToZero
 	a.flips.ZeroToOne += f.ZeroToOne - a.base.ZeroToOne
 	if a.base.Total() > 0 {
@@ -246,7 +328,8 @@ func (s *Sampler) CheckUniformRange(start, count uint64, expected, stored patter
 	}
 	if !s.sparse {
 		adj := adjuster{expected: expected, stored: stored, base: base, flips: &flips, faulty: &faulty}
-		s.RangeFaultWords(start, count, adj.word)
+		s.RangeFaults(start, count, adj.add)
+		adj.flush()
 		return flips, faulty
 	}
 	s.segments(start, start+count, func(lo, hi uint64, in bool) {
@@ -266,19 +349,8 @@ func (s *Sampler) checkSegment(lo, hi uint64, in bool, expected, stored pattern.
 	n := hi - lo
 	if lam := float64(n) * 256 * p; lam <= sparseEnumThreshold {
 		adj := adjuster{expected: expected, stored: stored, base: base, flips: flips, faulty: faulty}
-		g := grouper{visit: adj.word}
-		wpr := s.wordsPerRow
-		for r := lo / wpr; r*wpr < hi; r++ {
-			rlo, rhi := r*wpr, (r+1)*wpr
-			if rlo < lo {
-				rlo = lo
-			}
-			if rhi > hi {
-				rhi = hi
-			}
-			s.sparseRowFaults(r, rlo, rhi, p, t, g.add)
-		}
-		g.flush()
+		s.sparseSegmentFaults(lo, hi, p, t, adj.add)
+		adj.flush()
 		return
 	}
 

@@ -439,3 +439,57 @@ func TestConcurrentVoltageChangeSafe(t *testing.T) {
 	}
 	close(stop)
 }
+
+// wrapPattern is comparable exactly when its inner pattern's value is.
+type wrapPattern struct{ inner pattern.Pattern }
+
+func (p wrapPattern) Word(addr uint64) pattern.Word { return p.inner.Word(addr) }
+func (p wrapPattern) Name() string                  { return "wrap-" + p.inner.Name() }
+
+// tablePattern cannot be compared with ==.
+type tablePattern struct{ words []pattern.Word }
+
+func (p tablePattern) Word(addr uint64) pattern.Word { return p.words[addr%uint64(len(p.words))] }
+func (tablePattern) Name() string                    { return "table" }
+
+// TestRangeCheckMixedPatterns writes and checks ranges with patterns of
+// one dynamic type whose values differ in comparability — fill runs
+// must never compare two non-comparable values — and pins each bulk
+// check to the per-word ReadWord+Compare loop.
+func TestRangeCheckMixedPatterns(t *testing.T) {
+	table := tablePattern{words: []pattern.Word{pattern.AllOnesWord, {1, 2, 3, 4}}}
+	pats := []pattern.Pattern{
+		wrapPattern{pattern.Checkerboard()}, wrapPattern{table}, table, pattern.Checkerboard(),
+	}
+	const pc, start, count = 5, 100, 6000
+	for _, written := range pats {
+		for _, checked := range pats {
+			d, _ := scaledDevice(t, 1024)
+			s := d.Stacks[0]
+			s.SetVoltage(0.86)
+			if err := s.WriteRange(pc, start, count, written); err != nil {
+				t.Fatal(err)
+			}
+			flips, faulty, err := s.ReadCheckRange(pc, start, count, checked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantFlips pattern.Flips
+			var wantFaulty uint64
+			for a := uint64(start); a < start+count; a++ {
+				w, err := s.ReadWord(pc, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f := pattern.Compare(checked.Word(a), w); f.Total() > 0 {
+					wantFlips.Add(f)
+					wantFaulty++
+				}
+			}
+			if flips != wantFlips || faulty != wantFaulty {
+				t.Errorf("write %s, check %s: bulk {%+v %d}, per-word {%+v %d}",
+					written.Name(), checked.Name(), flips, faulty, wantFlips, wantFaulty)
+			}
+		}
+	}
+}

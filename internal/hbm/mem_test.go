@@ -19,7 +19,39 @@ func (r *refMemory) WriteUniform(start, count uint64, w pattern.Word) {
 	}
 }
 
+func (r *refMemory) WritePattern(start, count uint64, p pattern.Pattern) {
+	for a := start; a < start+count; a++ {
+		r.words[a] = p.Word(a)
+	}
+}
+
 func wordFor(i uint64) pattern.Word { return pattern.Word{i, ^i, i * 3, i ^ 0xabc} }
+
+// rangePatterns are the address-dependent patterns the range-write
+// cases draw from, plus one uniform pattern to exercise normalization.
+var rangePatterns = []pattern.Pattern{
+	pattern.Checkerboard(), pattern.WalkingOnes(), pattern.AddressInData(),
+	pattern.Random(7), pattern.AllOnes(),
+}
+
+// checkFillRuns asserts the fill-run invariants: sorted, covering
+// [0, words) exactly, and merged (no equal neighbours).
+func checkFillRuns(t *testing.T, m *pagedMemory, words uint64) {
+	t.Helper()
+	prev := uint64(0)
+	for i, r := range m.fills {
+		if r.Lo != prev || r.Hi <= r.Lo {
+			t.Fatalf("fill run %d = %+v breaks coverage at %d", i, r, prev)
+		}
+		if i > 0 && m.fills[i-1].fill == r.fill {
+			t.Fatalf("unmerged equal neighbours at run %d", i)
+		}
+		prev = r.Hi
+	}
+	if prev != words {
+		t.Fatalf("fill runs end at %d, want %d", prev, words)
+	}
+}
 
 func TestPagedMemoryAgainstReference(t *testing.T) {
 	const words = 1 << 15
@@ -27,12 +59,12 @@ func TestPagedMemoryAgainstReference(t *testing.T) {
 	ref := newRefMemory(words)
 	src := prf.NewSource(42)
 	for op := 0; op < 400; op++ {
-		switch src.Intn(3) {
+		switch src.Intn(4) {
 		case 0: // uniform range write
 			start := uint64(src.Intn(words))
 			count := uint64(src.Intn(words - int(start)))
 			w := wordFor(uint64(src.Intn(7)))
-			m.WriteUniform(start, count, w)
+			m.writeFill(start, count, fill{W: w})
 			ref.WriteUniform(start, count, w)
 		case 1: // single word write
 			a := uint64(src.Intn(words))
@@ -45,6 +77,12 @@ func TestPagedMemoryAgainstReference(t *testing.T) {
 				m.Fill(w)
 				ref.WriteUniform(0, words, w)
 			}
+		case 3: // pattern range write
+			start := uint64(src.Intn(words))
+			count := uint64(src.Intn(words - int(start)))
+			p := rangePatterns[src.Intn(len(rangePatterns))]
+			m.WritePattern(start, count, p)
+			ref.WritePattern(start, count, p)
 		}
 	}
 	for a := uint64(0); a < words; a++ {
@@ -52,20 +90,7 @@ func TestPagedMemoryAgainstReference(t *testing.T) {
 			t.Fatalf("addr %d: %v, want %v", a, got, want)
 		}
 	}
-	// Fill-run invariants: sorted, covering, merged.
-	prev := uint64(0)
-	for i, r := range m.fills {
-		if r.Lo != prev || r.Hi <= r.Lo {
-			t.Fatalf("fill run %d = %+v breaks coverage at %d", i, r, prev)
-		}
-		if i > 0 && m.fills[i-1].W == r.W {
-			t.Fatalf("unmerged equal neighbours at run %d", i)
-		}
-		prev = r.Hi
-	}
-	if prev != words {
-		t.Fatalf("fill runs end at %d, want %d", prev, words)
-	}
+	checkFillRuns(t, m, words)
 }
 
 func TestPagedMemoryRunsCoverExactly(t *testing.T) {
@@ -73,17 +98,22 @@ func TestPagedMemoryRunsCoverExactly(t *testing.T) {
 	m := newPagedMemory(words)
 	src := prf.NewSource(7)
 	for op := 0; op < 120; op++ {
-		if src.Intn(2) == 0 {
+		switch src.Intn(3) {
+		case 0:
 			start := uint64(src.Intn(words))
-			m.WriteUniform(start, uint64(src.Intn(words-int(start))), wordFor(uint64(src.Intn(4))))
-		} else {
+			m.writeFill(start, uint64(src.Intn(words-int(start))), fill{W: wordFor(uint64(src.Intn(4)))})
+		case 1:
 			m.Write(uint64(src.Intn(words)), wordFor(uint64(src.Intn(100))))
+		case 2:
+			start := uint64(src.Intn(words))
+			m.WritePattern(start, uint64(src.Intn(words-int(start))), rangePatterns[src.Intn(len(rangePatterns))])
 		}
 	}
+	checkFillRuns(t, m, words)
 	windows := [][2]uint64{{0, words}, {13, 29999}, {4096, 8192}, {4100, 4}, {words - 1, 1}}
 	for _, win := range windows {
 		next := win[0]
-		m.Runs(win[0], win[1], func(runStart, runCount uint64, ws []pattern.Word, fill pattern.Word) {
+		m.Runs(win[0], win[1], func(runStart, runCount uint64, ws []pattern.Word, bg fill) {
 			if runStart != next {
 				t.Fatalf("window %v: run starts at %d, want %d", win, runStart, next)
 			}
@@ -92,11 +122,9 @@ func TestPagedMemoryRunsCoverExactly(t *testing.T) {
 			}
 			for i := uint64(0); i < runCount; i++ {
 				want := m.Read(runStart + i)
-				var got pattern.Word
+				got := bg.word(runStart + i)
 				if ws != nil {
 					got = ws[i]
-				} else {
-					got = fill
 				}
 				if got != want {
 					t.Fatalf("window %v addr %d: run yields %v, Read says %v", win, runStart+i, got, want)
@@ -113,12 +141,12 @@ func TestPagedMemoryRunsCoverExactly(t *testing.T) {
 func TestPagedMemoryUniformWriteIsSparse(t *testing.T) {
 	const words = 8 << 20 // a full-size 256 MB pseudo channel
 	m := newPagedMemory(words)
-	m.WriteUniform(0, words, pattern.AllOnesWord)
+	m.writeFill(0, words, fill{W: pattern.AllOnesWord})
 	if n := m.AllocatedPages(); n != 0 {
 		t.Fatalf("uniform fill materialized %d pages", n)
 	}
 	// A partial uniform overwrite still allocates nothing.
-	m.WriteUniform(1000, 4<<20, pattern.AllZerosWord)
+	m.writeFill(1000, 4<<20, fill{W: pattern.AllZerosWord})
 	if n := m.AllocatedPages(); n != 0 {
 		t.Fatalf("partial uniform fill materialized %d pages", n)
 	}
@@ -133,7 +161,7 @@ func TestPagedMemoryUniformWriteIsSparse(t *testing.T) {
 	if m.AllocatedPages() != 1 {
 		t.Fatal("deviating word did not materialize")
 	}
-	m.WriteUniform(0, words, pattern.AllZerosWord)
+	m.writeFill(0, words, fill{W: pattern.AllZerosWord})
 	if m.AllocatedPages() != 0 {
 		t.Fatal("covered page not reclaimed")
 	}

@@ -215,10 +215,10 @@ func (s *Stack) channelRange(pc int, start, count uint64) (*pseudoChannel, error
 }
 
 // WriteRange stores pat's words over [start, start+count) of the pseudo
-// channel, taking the channel lock once. Uniform patterns splice the
-// sparse store's fill runs — O(allocated pages + fill runs) regardless
-// of count; address-dependent patterns fall back to word-by-word stores
-// under the single lock.
+// channel, taking the channel lock once. The sparse store records the
+// range as one fill run of pat — O(allocated pages + fill runs)
+// regardless of count; only a pattern whose dynamic value cannot be
+// compared falls back to word-by-word stores under the single lock.
 func (s *Stack) WriteRange(pc int, start, count uint64, pat pattern.Pattern) error {
 	if _, _, err := s.state(); err != nil {
 		return err
@@ -228,13 +228,7 @@ func (s *Stack) WriteRange(pc int, start, count uint64, pat pattern.Pattern) err
 		return err
 	}
 	ch.mu.Lock()
-	if w, ok := pattern.UniformWord(pat); ok {
-		ch.mem.WriteUniform(start, count, w)
-	} else {
-		for a := start; a < start+count; a++ {
-			ch.mem.Write(a, pat.Word(a))
-		}
-	}
+	ch.mem.WritePattern(start, count, pat)
 	ch.mu.Unlock()
 	s.writeOps.Add(count)
 	return nil
@@ -259,9 +253,11 @@ func (s *Stack) ReadRange(pc int, start, count uint64) error {
 // number of words with at least one flipped bit. It is the bulk
 // equivalent of ReadWord+Compare per address — the channel lock is taken
 // once, the fault sampler is consulted per fault site instead of per
-// word, and uniform regions are charged O(fault sites), not O(words).
-// On the bit-exact fault path the counts are identical to the per-word
-// loop; in sparse mode they follow the same statistics.
+// word, and fill runs are charged O(fault sites), not O(words): a run
+// pat itself wrote reads back as pat except where a fault lands, so
+// only the faulted words are compared. On the bit-exact fault path the
+// counts are identical to the per-word loop; in sparse mode they follow
+// the same statistics.
 func (s *Stack) ReadCheckRange(pc int, start, count uint64, pat pattern.Pattern) (pattern.Flips, uint64, error) {
 	volts, rep, err := s.state()
 	if err != nil {
@@ -278,29 +274,38 @@ func (s *Stack) ReadCheckRange(pc int, start, count uint64, pat pattern.Pattern)
 
 	var flips pattern.Flips
 	var faulty uint64
+	check := func(a uint64, w pattern.Word) {
+		f := pattern.Compare(pat.Word(a), w)
+		if f.Total() > 0 {
+			faulty++
+			flips.Add(f)
+		}
+	}
 	uniformPat, uniformOK := pattern.UniformWord(pat)
-	ch.mem.Runs(start, count, func(runStart, runCount uint64, words []pattern.Word, fill pattern.Word) {
-		if uniformOK && words == nil {
-			f, fw := sampler.CheckUniformRange(runStart, runCount, uniformPat, fill)
+	ch.mem.Runs(start, count, func(runStart, runCount uint64, words []pattern.Word, bg fill) {
+		if words == nil && bg.P == nil && uniformOK {
+			f, fw := sampler.CheckUniformRange(runStart, runCount, uniformPat, bg.W)
 			flips.Add(f)
 			faulty += fw
 			return
 		}
-		// Word-by-word fallback: page-backed runs and address-dependent
+		// bg.P holds a comparable value, so == cannot panic whatever
+		// pat is.
+		if words == nil && bg.P != nil && bg.P == pat {
+			// Stored equals expected: clean words compare to zero flips.
+			sampler.RangeFaultWords(runStart, runCount, func(addr uint64, fs []faults.CellFault) {
+				check(addr, faults.Overlay(pat.Word(addr), fs))
+			})
+			return
+		}
+		// Word-by-word fallback: page-backed runs and mismatched
 		// patterns. Faults still arrive pre-aggregated from the range
 		// enumerator, so clean words cost a compare, not 256 hashes.
 		readAt := func(a uint64) pattern.Word {
 			if words != nil {
 				return words[a-runStart]
 			}
-			return fill
-		}
-		check := func(a uint64, w pattern.Word) {
-			f := pattern.Compare(pat.Word(a), w)
-			if f.Total() > 0 {
-				faulty++
-				flips.Add(f)
-			}
+			return bg.word(a)
 		}
 		next := runStart
 		sampler.RangeFaultWords(runStart, runCount, func(addr uint64, fs []faults.CellFault) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -375,7 +376,9 @@ type Manager struct {
 	// byKey maps a cache key to its coalescing target: the live (or
 	// successfully completed) job for that key.
 	byKey map[uint64]*Job
-	// order lists job IDs in creation order, for MaxJobs eviction.
+	// order lists job IDs from least to most recently submitted — a
+	// coalesced or cache-hit submission counts as a new one — for
+	// MaxJobs eviction.
 	order []string
 	queue chan *Job
 
@@ -546,6 +549,9 @@ func (m *Manager) SubmitOpts(req SweepRequest, opts SubmitOptions) (job *Job, co
 				m.cache.Touch(key, j.Payload())
 				outcome = "cache_hit"
 			}
+			// The caller now holds this job: make it the newest record
+			// so eviction drops it last.
+			m.touchLocked(j)
 			m.submitted(opts.TraceID, j, outcome)
 			return j, true, st == StateDone, nil
 		}
@@ -623,8 +629,17 @@ func (m *Manager) newJobLocked(key uint64, req SweepRequest, cancel context.Canc
 	return j
 }
 
-// evictLocked drops the oldest terminal jobs beyond MaxJobs. Their
-// payloads stay in the LRU, so evicted results remain servable.
+// touchLocked moves j to the back of the eviction order (m.mu held).
+func (m *Manager) touchLocked(j *Job) {
+	if i := slices.Index(m.order, j.ID); i >= 0 {
+		copy(m.order[i:], m.order[i+1:])
+		m.order[len(m.order)-1] = j.ID
+	}
+}
+
+// evictLocked drops the least recently submitted terminal jobs beyond
+// MaxJobs. Their payloads stay in the LRU, so evicted results remain
+// servable.
 func (m *Manager) evictLocked() {
 	for len(m.jobs) > m.cfg.MaxJobs {
 		evicted := false
@@ -640,7 +655,7 @@ func (m *Manager) evictLocked() {
 			if m.byKey[j.Key] == j {
 				delete(m.byKey, j.Key)
 			}
-			m.order = append(m.order[:i:i], m.order[i+1:]...)
+			m.order = slices.Delete(m.order, i, i+1)
 			evicted = true
 			break
 		}
