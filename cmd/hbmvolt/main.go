@@ -66,7 +66,7 @@ var (
 	flagBatch = flag.Int("batch", 5, "reliability: batch size (paper uses 130)")
 	flagVolts = flag.Float64("volts", 0, "reliability: single test voltage (0 = full 1.20V→0.81V sweep)")
 	flagExact = flag.Bool("exact", false, "bit-exact per-cell fault sampling instead of sparse enumeration (slow at full scale; pair with -scale)")
-	flagJ     = flag.Int("j", runtime.GOMAXPROCS(0), "reliability: sweep workers — voltage points are sharded across this many board clones; results are bit-identical at any count (1 = sequential)")
+	flagJ     = flag.Int("j", runtime.GOMAXPROCS(0), "reliability, campaign, verify: sweep workers, each sweep's whole CPU budget — voltage points go to up to this many board clones and their port passes to this many goroutines; results are bit-identical at any count (1 = sequential)")
 
 	flagSpec       = flag.String("spec", "paper-repro", "campaign: built-in campaign name or spec file path")
 	flagSmoke      = flag.Bool("smoke", false, "campaign: select a built-in campaign's smoke-scale variant")
@@ -404,10 +404,11 @@ func gridAround(hi, lo float64) []float64 {
 
 func runReliability(sys *hbmvolt.System) error {
 	// The default is the paper's whole-HBM methodology: every word of
-	// every pseudo channel, across the full voltage ladder. The sweep is
-	// sharded across -j board-fleet workers; with one worker the ports
-	// within each point run concurrently instead (both modes produce
-	// identical results — see the sweep scheduler's determinism tests).
+	// every pseudo channel, across the full voltage ladder, on -j
+	// workers: voltage points are sharded across board clones and every
+	// point's port passes are shared among the workers, so a
+	// single-voltage run uses them all too. Results are identical at any -j (see the sweep
+	// scheduler's determinism tests).
 	var grid []float64
 	where := "1.20V→0.81V sweep"
 	if *flagVolts != 0 {
@@ -418,11 +419,7 @@ func runReliability(sys *hbmvolt.System) error {
 		Grid:      grid,
 		BatchSize: *flagBatch,
 		Workers:   *flagJ,
-		// Port-level parallelism takes over where point-level sharding
-		// cannot: a single worker, or a single-voltage run whose one grid
-		// point would otherwise pin one core.
-		Parallel: *flagJ <= 1 || *flagVolts != 0,
-		OnPoint:  progressLine(),
+		OnPoint:   progressLine(),
 	})
 	if err != nil {
 		return err

@@ -113,7 +113,7 @@ var (
 	flagCacheDir = flag.String("cache-dir", "", "durable result-cache directory: computed sweeps survive restarts and crashes (verified on read; empty = memory only)")
 	flagDiskMax  = flag.Int64("cache-disk-bytes", 0, "disk cache payload-byte bound, LRU-evicted (0 = unbounded; needs -cache-dir)")
 	flagMaxJobs  = flag.Int("max-jobs", 1024, "retained job records (oldest terminal jobs evicted)")
-	flagFleet    = flag.Int("j", runtime.GOMAXPROCS(0), "default board-fleet size per sharded sweep (request \"workers\" overrides)")
+	flagFleet    = flag.Int("j", runtime.GOMAXPROCS(0), "default per-sweep CPU budget: board-fleet size and pass workers (request \"workers\" overrides)")
 	flagRate     = flag.Float64("rate", 0, "per-client submission rate limit in requests/second (0 = off); rejections get 429 with a latency-derived Retry-After")
 	flagBurst    = flag.Int("burst", 8, "per-client token-bucket burst (with -rate)")
 	flagDrain    = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: in-flight sweeps get this long to finish before being cancelled")

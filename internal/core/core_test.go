@@ -631,22 +631,25 @@ func TestCapacityStudyValidation(t *testing.T) {
 	}
 }
 
+// TestRunReliabilityParallelMatchesSequential: a single-voltage sweep
+// has one board, so its workers all go to the port passes — and the
+// result must not change.
 func TestRunReliabilityParallelMatchesSequential(t *testing.T) {
-	run := func(parallel bool) *ReliabilityResult {
+	run := func(workers int) *ReliabilityResult {
 		b := testBoard(t, board.Config{Scale: 256, Seed: 4})
 		res, err := RunReliability(ReliabilityConfig{
 			Board:     b,
 			Grid:      []float64{0.90},
 			BatchSize: 3,
-			Parallel:  parallel,
+			Workers:   workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	seq := run(false)
-	par := run(true)
+	seq := run(1)
+	par := run(4)
 	sp, pp := seq.Points[0], par.Points[0]
 	if sp.MeanFlips != pp.MeanFlips || sp.Flips10 != pp.Flips10 || sp.Flips01 != pp.Flips01 {
 		t.Fatalf("parallel execution changed results: %+v vs %+v", sp, pp)
@@ -673,7 +676,7 @@ func TestMeasuredUnsafeRegionShape(t *testing.T) {
 		Ports:     ports,
 		Grid:      []float64{0.93, 0.90, 0.87},
 		BatchSize: 2,
-		Parallel:  true,
+		Workers:   4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,17 +2,24 @@ package core
 
 // SweepScheduler: board-fleet parallelism for Algorithm 1 sweeps.
 //
-// A reliability sweep is embarrassingly parallel across voltage points —
-// each point programs the rail, writes patterns and reads them back, and
-// every random draw underneath (cell critical voltages, metastability
-// jitter, sparse row realizations, aggregate count draws) is a pure
-// function of (seed, PC, address, rep, voltage), never of evaluation
-// order. The scheduler exploits that: it instantiates one independent
-// board clone per worker and distributes the grid points over a bounded
-// worker pool, so a full-grid sweep scales with cores instead of pinning
-// one. Because the draws are keyed rather than streamed, sharded output
-// is bit-identical to the sequential path at any worker count — the
-// determinism tests pin this across worker counts and patterns.
+// A reliability sweep is embarrassingly parallel across voltage points
+// and, within a batch rep of a point, across ports — each pass writes a
+// pattern through its own port and reads it back, and every random draw
+// underneath (cell critical voltages, metastability jitter, sparse
+// row realizations, aggregate count draws) is a pure function of (seed,
+// PC, address, rep, voltage), never of evaluation order. The scheduler
+// exploits both. Board clones are point drivers: each takes grid points
+// from a shared feed, programs its rail and runs the point's (port ×
+// rep) fill/check passes, offering them to whichever of the sweep's
+// Workers goroutines is idle (passPool) — a driver whose points are
+// done, or a spare worker when the grid has fewer points than Workers.
+// Workers is therefore the sweep's whole CPU budget, and a worker whose
+// own points are done helps finish the others — which matters because
+// the cost of a point explodes toward V_critical, so one point near the
+// bottom of the ladder can dominate a sweep. Because
+// the draws are keyed rather than streamed, the output is bit-identical
+// to the sequential path at any worker count — the determinism tests
+// pin this across worker counts, port sets and patterns.
 //
 // Cloned boards share the memoized analytic rate atlas (same config
 // fingerprint), so the fleet duplicates electrical state but never
@@ -59,8 +66,10 @@ type ProgressFunc func(SweepProgress)
 // with bounded concurrency, context cancellation and progress callbacks.
 // The zero value is valid and runs GOMAXPROCS workers.
 type SweepScheduler struct {
-	// Workers is the board-fleet size; 0 means GOMAXPROCS. The fleet is
-	// never larger than the grid.
+	// Workers is the sweep's CPU budget: the number of goroutines that
+	// run its fill/check passes, and the size of its board fleet, which
+	// is never larger than the grid. 0 means GOMAXPROCS; 1 runs
+	// everything on the caller's goroutine.
 	Workers int
 	// OnProgress, when non-nil, is called after every completed voltage
 	// point (serialized, completion order).
@@ -93,8 +102,9 @@ func (p *progressTracker) completed(pt VoltagePoint) {
 }
 
 // RunReliability executes Algorithm 1 over cfg's grid, sharding the
-// voltage points across the scheduler's board fleet. cfg.Board is the
-// fleet template (and first worker's board); it is restored to nominal
+// voltage points across the scheduler's board fleet and their
+// fill/check passes across its workers. cfg.Board is the fleet
+// template (and first driver's board); it is restored to nominal
 // voltage on every exit, as are all clones. Results are bit-identical to
 // the sequential single-board sweep regardless of worker count.
 func (s *SweepScheduler) RunReliability(ctx context.Context, cfg ReliabilityConfig) (*ReliabilityResult, error) {
@@ -115,30 +125,31 @@ func (s *SweepScheduler) RunReliability(ctx context.Context, cfg ReliabilityConf
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cfg.Grid) {
-		workers = len(cfg.Grid)
+	passWorkers := workers
+	if cfg.SharedEnumeration {
+		passWorkers = 1 // the shared path runs its own per-point loop
 	}
-	if workers <= 1 {
-		if err := runSequential(ctx, &cfg, res, prog); err != nil {
-			return nil, err
-		}
-		return res, nil
+	if drivers := min(workers, len(cfg.Grid)); drivers > 1 {
+		err = s.runSharded(ctx, &cfg, res, prog, passWorkers, drivers)
+	} else {
+		err = runSequential(ctx, &cfg, res, prog, passWorkers)
 	}
-
-	if err := s.runSharded(ctx, &cfg, res, prog, workers); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// runSharded drives the fleet. Grid indices flow through an unbuffered
-// channel so a cancelled context stops dispatch immediately; each worker
-// owns its board exclusively, writes results into its grid slot, and the
-// first error cancels the rest of the sweep.
-func (s *SweepScheduler) runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker, workers int) (err error) {
-	boards := make([]*board.Board, workers)
+// runSharded drives the fleet: one driver goroutine per board, in a
+// pass pool of passWorkers goroutines. Grid indices flow through an
+// unbuffered channel so a cancelled context stops dispatch immediately;
+// each driver owns its board exclusively, writes results into its grid
+// slot, and then helps the drivers still running; the first error
+// cancels the rest of the sweep.
+func (s *SweepScheduler) runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker, passWorkers, drivers int) (err error) {
+	boards := make([]*board.Board, drivers)
 	boards[0] = cfg.Board
-	for w := 1; w < workers; w++ {
+	for w := 1; w < drivers; w++ {
 		b, cerr := cfg.Board.Clone()
 		if cerr != nil {
 			// Restore the clones built so far before bailing.
@@ -158,6 +169,8 @@ func (s *SweepScheduler) runSharded(ctx context.Context, cfg *ReliabilityConfig,
 		}
 	}()
 
+	pool := newPassPool(ctx, passWorkers, drivers)
+	defer pool.wait()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -176,12 +189,13 @@ func (s *SweepScheduler) runSharded(ctx context.Context, cfg *ReliabilityConfig,
 	}
 
 	tasks := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < drivers; w++ {
 		wg.Add(1)
 		go func(b *board.Board) {
 			defer wg.Done()
+			defer pool.retire(ctx)
 			for i := range tasks {
-				pt, perr := runVoltagePoint(ctx, b, cfg, cfg.Grid[i])
+				pt, perr := runVoltagePoint(ctx, b, cfg, pool, cfg.Grid[i])
 				if perr != nil {
 					fail(perr)
 					return

@@ -260,3 +260,61 @@ func TestBoardCloneIndependence(t *testing.T) {
 		t.Fatal("clone config differs")
 	}
 }
+
+// TestSweepWorkersBitIdentical pins the one-pool scheduler over every
+// dimension it schedules: Workers ∈ {1, 2, 8} × ports {1, 2, 32} ×
+// {exact, sparse}, on a grid whose cost sits in one point (clean points
+// above the guardband, then one deep undervolt point, so idle workers
+// end up on that point's passes) and on a single-voltage grid (one
+// driver, every worker on its passes).
+func TestSweepWorkersBitIdentical(t *testing.T) {
+	grids := []struct {
+		name string
+		grid []float64
+	}{
+		{"dominant", []float64{1.10, 1.00, 0.97, 0.86}},
+		{"single", []float64{0.88}},
+	}
+	portSets := []struct {
+		name  string
+		ports []hbm.PortID
+	}{
+		{"1port", []hbm.PortID{18}},
+		{"2ports", []hbm.PortID{5, 18}},
+		{"32ports", nil},
+	}
+	for _, sparse := range []bool{false, true} {
+		mode := "exact"
+		if sparse {
+			mode = "sparse"
+		}
+		for _, g := range grids {
+			for _, ps := range portSets {
+				t.Run(mode+"/"+g.name+"/"+ps.name, func(t *testing.T) {
+					run := func(workers int) *ReliabilityResult {
+						res, err := RunReliability(ReliabilityConfig{
+							Board:     testBoard(t, board.Config{Scale: 1024, Seed: 6, SparseFaults: sparse}),
+							Ports:     ps.ports,
+							Grid:      g.grid,
+							BatchSize: 2,
+							Workers:   workers,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					}
+					ref := run(1)
+					if ref.Points[len(g.grid)-1].MeanFlips == 0 {
+						t.Fatal("the deepest point saw no flips; the comparison is vacuous")
+					}
+					for _, workers := range []int{2, 8} {
+						if got := run(workers); !reflect.DeepEqual(ref, got) {
+							t.Fatalf("workers=%d differs from the sequential sweep", workers)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/pprof"
-	"sync"
 
 	"hbmvolt/internal/axi"
 	"hbmvolt/internal/board"
@@ -34,16 +32,12 @@ type ReliabilityConfig struct {
 	// Grid is the voltage ladder, descending; nil means the paper's
 	// 1.20 V → 0.81 V sweep.
 	Grid []float64
-	// Parallel runs the ports of each (voltage, pattern) step
-	// concurrently, as the 32 hardware traffic generators do. Results
-	// are identical to sequential execution (ports are independent and
-	// the fault model is deterministic); only wall time changes.
-	Parallel bool
-	// Workers shards the sweep's voltage points across a fleet of board
-	// clones (see SweepScheduler). 0 or 1 runs the classic sequential
-	// sweep on Board; larger values distribute grid points over that many
-	// workers, each driving its own clone of Board. Results are
-	// bit-identical at every worker count; only wall time changes.
+	// Workers is the sweep's CPU budget (see SweepScheduler). 0 or 1
+	// runs the classic sequential sweep on Board. Larger values
+	// distribute grid points over up to that many board clones and run
+	// the ports of each batch rep concurrently, as the 32 hardware
+	// traffic generators do, on that many goroutines in all. Results
+	// are bit-identical at every worker count; only wall time changes.
 	Workers int
 	// SharedEnumeration evaluates every pattern of a voltage point from
 	// one pattern-agnostic stuck-cell enumeration (faults.Enumeration)
@@ -181,17 +175,21 @@ func restoreNominal(b *board.Board, err *error) {
 	}
 }
 
-// runSequential is the single-board reference path: grid points visited
-// in order on one board. The sharded scheduler must match its output
-// bit for bit.
-func runSequential(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker) (err error) {
+// runSequential is the single-board path: grid points visited in order
+// on one board, driven in a pass pool of passWorkers goroutines (all
+// inline for one, the reference the sharded scheduler must match bit
+// for bit).
+func runSequential(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker, passWorkers int) (err error) {
 	b := cfg.Board
 	defer restoreNominal(b, &err)
+	pool := newPassPool(ctx, passWorkers, 1)
+	defer pool.wait()
+	defer pool.retire(ctx)
 	for i, v := range cfg.Grid {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		pt, err := runVoltagePoint(ctx, b, cfg, v)
+		pt, err := runVoltagePoint(ctx, b, cfg, pool, v)
 		if err != nil {
 			return err
 		}
@@ -212,14 +210,15 @@ func voltageBand(v float64) string {
 
 // runVoltagePoint executes one full Algorithm 1 step at voltage v on b:
 // program the rail, record and recover a crash, otherwise run every
-// configured pattern over every port for the whole batch. The outcome is
-// a pure function of (voltage, pattern set, port set, batch size) and
+// configured pattern over every port for the whole batch, the passes on
+// pool. The outcome is a pure function of (voltage, pattern set, port
+// set, batch size) and
 // the board's seeded configuration — it depends neither on which board
 // of a fleet evaluates it nor on which points ran before, which is the
 // invariant that makes sharded sweeps bit-identical to sequential ones.
 // ctx carries profiling labels (mode, voltage band) and the telemetry
 // trace for the enum-store lookups; it never influences the outcome.
-func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, v float64) (VoltagePoint, error) {
+func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, pool *passPool, v float64) (VoltagePoint, error) {
 	if err := b.SetHBMVoltage(v); err != nil {
 		return VoltagePoint{}, fmt.Errorf("core: setting %vV: %w", v, err)
 	}
@@ -243,7 +242,7 @@ func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig
 		if cfg.SharedEnumeration {
 			pt, err = sharedVoltagePoint(ctx, b, cfg, pt)
 		} else {
-			pt, err = isolatedVoltagePoint(ctx, b, cfg, pt)
+			pt, err = isolatedVoltagePoint(ctx, b, cfg, pool, pt)
 		}
 	})
 	if err != nil {
@@ -254,14 +253,14 @@ func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig
 
 // isolatedVoltagePoint finishes one non-crashed voltage point on the
 // legacy per-pattern enumeration path, labeling each pattern's
-// fill/check pass for the profiler.
-func isolatedVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, pt VoltagePoint) (VoltagePoint, error) {
+// fill/check passes for the profiler.
+func isolatedVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, pool *passPool, pt VoltagePoint) (VoltagePoint, error) {
 	scratch := newPortScratch(len(cfg.Ports), cfg.BatchSize)
 	for _, pat := range cfg.Patterns {
 		var observations []PortObservation
 		var err error
-		pprof.Do(ctx, pprof.Labels("hbmvolt_pattern", pat.Name()), func(context.Context) {
-			observations, err = runPorts(b, cfg.Ports, pat, cfg.WordsPerPort, cfg.BatchSize, cfg.Parallel, scratch)
+		pprof.Do(ctx, pprof.Labels("hbmvolt_pattern", pat.Name()), func(ctx context.Context) {
+			observations, err = runPorts(ctx, b, cfg.Ports, pat, cfg.WordsPerPort, cfg.BatchSize, pool, scratch)
 		})
 		if err != nil {
 			return VoltagePoint{}, fmt.Errorf("core: pattern %s at %vV: %w", pat.Name(), pt.Volts, err)
@@ -324,15 +323,13 @@ func (s *portScratch) reset() {
 }
 
 // runPorts runs the batched fill/check of Algorithm 1 on the given
-// ports, optionally driving them concurrently within each batch
-// repetition (the hardware's natural mode: all traffic generators run
-// at once). Parallel execution reuses one bounded worker pool across
-// every (port × repetition) task — repetitions form a barrier, because
-// the batch-rep register is device-global state, but the goroutines and
-// result buffers live once for the whole batch instead of being respawned
-// per repetition. The returned slice aliases scratch.out; callers copy
-// the observations out before the next call.
-func runPorts(b *board.Board, ports []hbm.PortID, pat pattern.Pattern, words uint64, batch int, parallel bool, scratch *portScratch) ([]PortObservation, error) {
+// ports, one pass per (port × repetition), through pool under ctx's
+// profiler labels. Repetitions form a barrier, because the batch-rep
+// register is device-global state; within one, idle pool goroutines
+// run ports alongside the caller (the hardware's natural mode: all
+// traffic generators run at once). The returned slice aliases
+// scratch.out; callers copy the observations out before the next call.
+func runPorts(ctx context.Context, b *board.Board, ports []hbm.PortID, pat pattern.Pattern, words uint64, batch int, pool *passPool, scratch *portScratch) ([]PortObservation, error) {
 	if scratch == nil {
 		scratch = newPortScratch(len(ports), batch)
 	}
@@ -352,35 +349,13 @@ func runPorts(b *board.Board, ports []hbm.PortID, pat pattern.Pattern, words uin
 
 	results := scratch.results
 	errs := scratch.errs
-
-	var tasks chan int
-	var wg sync.WaitGroup
-	if workers := min(len(ports), runtime.GOMAXPROCS(0)); parallel && workers > 1 {
-		tasks = make(chan int, len(ports))
-		defer close(tasks)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for i := range tasks {
-					results[i], errs[i] = runOnePass(b.TGs[ports[i]], pat, words)
-					wg.Done()
-				}
-			}()
-		}
+	pass := func(i int) {
+		results[i], errs[i] = runOnePass(b.TGs[ports[i]], pat, words)
 	}
 
 	for rep := 0; rep < batch; rep++ {
 		b.Device.SetBatchRep(uint64(rep))
-		if tasks != nil {
-			wg.Add(len(ports))
-			for i := range ports {
-				tasks <- i
-			}
-			wg.Wait()
-		} else {
-			for i, p := range ports {
-				results[i], errs[i] = runOnePass(b.TGs[p], pat, words)
-			}
-		}
+		pool.run(ctx, len(ports), pass)
 		for i, err := range errs {
 			if err != nil {
 				return nil, fmt.Errorf("port %d: %w", ports[i], err)

@@ -25,9 +25,7 @@ package faults
 // within Poisson bounds.
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sync"
 
 	"hbmvolt/internal/pattern"
@@ -134,16 +132,10 @@ func newRowDraw(nBits int, p, t float64) rowDraw {
 	}
 }
 
-// posFault is one drawn fault: bit position within the row, polarity.
-type posFault struct {
-	pos int
-	pol Polarity
-}
-
-// rowScratch is a reusable position buffer for sparseRowFaults. Scratch
-// lives in a pool, not on the Sampler, which stays immutable and safe
-// for concurrent use.
-type rowScratch struct{ buf []posFault }
+// rowScratch is a reusable fault-key buffer for sparseRowFaults.
+// Scratch lives in a pool, not on the Sampler, which stays immutable
+// and safe for concurrent use.
+type rowScratch struct{ buf []uint64 }
 
 var rowScratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
@@ -177,32 +169,32 @@ func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d *rowDraw, visit func(add
 		dr := draws[:2*chunk]
 		src.Fill(dr)
 		for c := 0; c < chunk; c++ {
-			pos := int(dr[2*c] % uint64(d.nBits))
 			pol := StuckAt0
 			if prf.Float64(dr[2*c+1]) < d.p1Share {
 				pol = StuckAt1
 			}
-			buf = append(buf, posFault{pos, pol})
+			buf = append(buf, faultKey(dr[2*c]%uint64(d.nBits), pol))
 		}
 		j += chunk
 	}
 	sc.buf = buf
-	// On a collision the polarity that survives is the one this
-	// (unstable) pdqsort orders first; changing the sort changes the
-	// realization.
-	slices.SortFunc(buf, func(a, b posFault) int { return cmp.Compare(a.pos, b.pos) })
+	// On a collision the polarity that survives is the one the sort
+	// orders first, so the sort is part of the realization; see
+	// keysort.go.
+	sortFaultKeys(buf)
 	rowBase := row * s.wordsPerRow
-	prev := -1
-	for _, pf := range buf {
-		if pf.pos == prev {
+	prev := ^uint64(0)
+	for _, key := range buf {
+		pos := key >> 1
+		if pos == prev {
 			continue // collision: one cell, one fault
 		}
-		prev = pf.pos
-		addr := rowBase + uint64(pf.pos)/256
+		prev = pos
+		addr := rowBase + pos/256
 		if addr < lo || addr >= hi {
 			continue
 		}
-		visit(addr, CellFault{Bit: pf.pos % 256, Polarity: pf.pol})
+		visit(addr, CellFault{Bit: int(pos % 256), Polarity: Polarity(key & 1)})
 	}
 }
 

@@ -193,3 +193,24 @@ func TestSparseAggregateFaultyWordsPlausible(t *testing.T) {
 		t.Fatalf("collapse voltage left %d of %d words clean", words-fw, words)
 	}
 }
+
+// BenchmarkSparseRowFaults is the sparse kernel's rung of the benchmark
+// ladder: one 8192-bit row per op at ~460 drawn faults (5.6% of cells,
+// about a dozen position collisions), the per-row load of the deepest
+// undervolt points that still enumerate positions. Draws, the packed
+// key sort and the collision walk all run; the visitor only counts.
+func BenchmarkSparseRowFaults(b *testing.B) {
+	const wordsPerRow = 32 // sparseModel's geometry: 8192-bit rows
+	m := sparseModel(b, 17, 1<<16)
+	s := m.NewSampler(0, 12, 0.85)
+	d := newRowDraw(wordsPerRow*256, 460.0/8192, 0)
+	faults := 0
+	visit := func(uint64, CellFault) { faults++ }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		row := uint64(i % 2048)
+		s.sparseRowFaults(row, row*wordsPerRow, (row+1)*wordsPerRow, &d, visit)
+	}
+	b.ReportMetric(float64(faults)/float64(b.N), "faults/row")
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
+}

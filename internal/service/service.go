@@ -103,10 +103,10 @@ type SweepRequest struct {
 	// (power sweeps only; 0 = exact). Noise draws are keyed on the seed
 	// and sample counter, so noisy sweeps stay deterministic.
 	Noise float64 `json:"noise,omitempty"`
-	// Workers is the board-fleet size for sharded reliability sweeps
-	// (0 → the server default). A parallelism hint only: results are
-	// bit-identical at every worker count, so Workers is excluded from
-	// the cache key.
+	// Workers is a reliability sweep's CPU budget — its board-fleet size
+	// and pass workers (0 → the server default). A parallelism hint only:
+	// results are bit-identical at every worker count, so Workers is
+	// excluded from the cache key.
 	Workers int `json:"workers,omitempty"`
 }
 

@@ -94,9 +94,13 @@ func (m *Manager) registerSamplers() {
 		})
 
 	m.reg.GaugeSampler("hbmvolt_cache_entries", "Entries retained per result-cache tier.",
-		[]string{"tier"}, func() []telemetry.Sample { return m.cache.sampleTiers(func(t CacheTier) float64 { return float64(t.Len()) }) })
+		[]string{"tier"}, func() []telemetry.Sample {
+			return m.cache.sampleTiers(func(t CacheTier) float64 { return float64(t.Len()) })
+		})
 	m.reg.GaugeSampler("hbmvolt_cache_bytes", "Payload bytes retained per result-cache tier.",
-		[]string{"tier"}, func() []telemetry.Sample { return m.cache.sampleTiers(func(t CacheTier) float64 { return float64(t.Bytes()) }) })
+		[]string{"tier"}, func() []telemetry.Sample {
+			return m.cache.sampleTiers(func(t CacheTier) float64 { return float64(t.Bytes()) })
+		})
 	m.reg.CounterSampler("hbmvolt_cache_evictions_total", "Capacity evictions per result-cache tier.",
 		[]string{"tier"}, func() []telemetry.Sample {
 			return m.cache.sampleTiers(func(t CacheTier) float64 {

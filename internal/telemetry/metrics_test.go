@@ -102,10 +102,10 @@ func TestHistogramBoundaries(t *testing.T) {
 	}
 	got := sb.String()
 	want := strings.Join([]string{
-		`edge_seconds_bucket{le="1"} 2`,       // 0, 1
-		`edge_seconds_bucket{le="2.5"} 4`,     // + 1.0000001, 2.5
-		`edge_seconds_bucket{le="10"} 5`,      // + 10
-		`edge_seconds_bucket{le="+Inf"} 7`,    // + 10.5, +Inf
+		`edge_seconds_bucket{le="1"} 2`,    // 0, 1
+		`edge_seconds_bucket{le="2.5"} 4`,  // + 1.0000001, 2.5
+		`edge_seconds_bucket{le="10"} 5`,   // + 10
+		`edge_seconds_bucket{le="+Inf"} 7`, // + 10.5, +Inf
 		`edge_seconds_count 7`,
 	}, "\n")
 	for _, line := range strings.Split(want, "\n") {

@@ -15,12 +15,12 @@ func TestTraceIDs(t *testing.T) {
 		t.Fatalf("minted ID %q not valid", a)
 	}
 	for id, want := range map[string]bool{
-		"abc123":          true,
-		"A-Z_09":          true,
-		"":                false,
-		"has space":       false,
-		"quote\"":         false,
-		"line\nbreak":     false,
+		"abc123":                 true,
+		"A-Z_09":                 true,
+		"":                       false,
+		"has space":              false,
+		"quote\"":                false,
+		"line\nbreak":            false,
 		string(make([]byte, 65)): false,
 	} {
 		if got := ValidTraceID(id); got != want {

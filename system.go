@@ -92,9 +92,10 @@ type Config struct {
 	// of O(bits scanned). The default (false) keeps the bit-exact
 	// per-cell fault map.
 	SparseFaults bool
-	// SweepWorkers is the default board-fleet size for reliability
-	// sweeps: voltage points are sharded across this many independently
-	// instantiated clones of the board (results are bit-identical at any
+	// SweepWorkers is the default CPU budget of reliability sweeps:
+	// voltage points are sharded across up to this many independently
+	// instantiated clones of the board, and their port passes are
+	// shared among this many workers (results are bit-identical at any
 	// worker count). 0 or 1 keeps sweeps sequential; a per-call
 	// ReliabilityConfig.Workers overrides it.
 	SweepWorkers int
