@@ -1,6 +1,6 @@
 package core
 
-// SweepScheduler: board-fleet parallelism for Algorithm 1 sweeps.
+// The sweep scheduler: board-fleet parallelism for Algorithm 1 sweeps.
 //
 // A reliability sweep is embarrassingly parallel across voltage points
 // and, within a batch rep of a point, across ports — each pass writes a
@@ -27,11 +27,9 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"hbmvolt/internal/board"
-	"hbmvolt/internal/stats"
 )
 
 // SweepProgress reports one completed voltage point of a running sweep.
@@ -61,21 +59,6 @@ type SweepProgress struct {
 // callback must not invoke the scheduler reentrantly.
 type ProgressFunc func(SweepProgress)
 
-// SweepScheduler shards a reliability sweep across a fleet of
-// independently instantiated simulated boards — one clone per worker —
-// with bounded concurrency, context cancellation and progress callbacks.
-// The zero value is valid and runs GOMAXPROCS workers.
-type SweepScheduler struct {
-	// Workers is the sweep's CPU budget: the number of goroutines that
-	// run its fill/check passes, and the size of its board fleet, which
-	// is never larger than the grid. 0 means GOMAXPROCS; 1 runs
-	// everything on the caller's goroutine.
-	Workers int
-	// OnProgress, when non-nil, is called after every completed voltage
-	// point (serialized, completion order).
-	OnProgress ProgressFunc
-}
-
 // progressTracker serializes completion callbacks and owns the monotone
 // Done counter.
 type progressTracker struct {
@@ -101,52 +84,13 @@ func (p *progressTracker) completed(pt VoltagePoint) {
 	})
 }
 
-// RunReliability executes Algorithm 1 over cfg's grid, sharding the
-// voltage points across the scheduler's board fleet and their
-// fill/check passes across its workers. cfg.Board is the fleet
-// template (and first driver's board); it is restored to nominal
-// voltage on every exit, as are all clones. Results are bit-identical to
-// the sequential single-board sweep regardless of worker count.
-func (s *SweepScheduler) RunReliability(ctx context.Context, cfg ReliabilityConfig) (*ReliabilityResult, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	margin, err := stats.MarginOfError(cfg.BatchSize, DefaultConfidence)
-	if err != nil {
-		return nil, err
-	}
-	res := &ReliabilityResult{
-		Margin: margin,
-		Points: make([]VoltagePoint, len(cfg.Grid)),
-	}
-	prog := &progressTracker{total: len(cfg.Grid), fn: s.OnProgress}
-
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	passWorkers := workers
-	if cfg.SharedEnumeration {
-		passWorkers = 1 // the shared path runs its own per-point loop
-	}
-	if drivers := min(workers, len(cfg.Grid)); drivers > 1 {
-		err = s.runSharded(ctx, &cfg, res, prog, passWorkers, drivers)
-	} else {
-		err = runSequential(ctx, &cfg, res, prog, passWorkers)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // runSharded drives the fleet: one driver goroutine per board, in a
 // pass pool of passWorkers goroutines. Grid indices flow through an
 // unbuffered channel so a cancelled context stops dispatch immediately;
 // each driver owns its board exclusively, writes results into its grid
 // slot, and then helps the drivers still running; the first error
 // cancels the rest of the sweep.
-func (s *SweepScheduler) runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker, passWorkers, drivers int) (err error) {
+func runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker, passWorkers, drivers int) (err error) {
 	boards := make([]*board.Board, drivers)
 	boards[0] = cfg.Board
 	for w := 1; w < drivers; w++ {

@@ -150,17 +150,15 @@ func TestShardedSweepCancellation(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 1024})
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	sch := &SweepScheduler{
-		Workers: 2,
-		OnProgress: func(SweepProgress) {
-			once.Do(cancel) // cancel after the first completed point
-		},
-	}
-	_, err := sch.RunReliability(ctx, ReliabilityConfig{
+	_, err := RunReliabilitySweep(ctx, ReliabilityConfig{
 		Board:     b,
 		Ports:     []hbm.PortID{0, 1, 2, 3},
 		Grid:      faults.VoltageGrid(1.20, 0.90),
 		BatchSize: 2,
+		Workers:   2,
+		OnPoint: func(SweepProgress) {
+			once.Do(cancel) // cancel after the first completed point
+		},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -210,15 +208,16 @@ func TestSweepProgressCallback(t *testing.T) {
 	}
 }
 
-// TestSchedulerZeroValue: the zero-value scheduler (GOMAXPROCS workers,
-// no progress) must work and cap its fleet at the grid size.
+// TestSchedulerZeroValue: a sweep with more workers than grid points
+// and no progress callback must work, cap its fleet at the grid size,
+// and keep its points in grid order.
 func TestSchedulerZeroValue(t *testing.T) {
-	var sch SweepScheduler
-	res, err := sch.RunReliability(context.Background(), ReliabilityConfig{
+	res, err := RunReliabilitySweep(context.Background(), ReliabilityConfig{
 		Board:     testBoard(t, board.Config{Scale: 1024}),
 		Ports:     []hbm.PortID{18},
 		Grid:      []float64{0.90, 0.89}, // fleet capped at 2
 		BatchSize: 2,
+		Workers:   8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ type ReliabilityConfig struct {
 	// Grid is the voltage ladder, descending; nil means the paper's
 	// 1.20 V → 0.81 V sweep.
 	Grid []float64
-	// Workers is the sweep's CPU budget (see SweepScheduler). 0 or 1
+	// Workers is the sweep's CPU budget (see scheduler.go). 0 or 1
 	// runs the classic sequential sweep on Board. Larger values
 	// distribute grid points over up to that many board clones and run
 	// the ports of each batch rep concurrently, as the 32 hardware
@@ -151,7 +151,7 @@ func (r *ReliabilityResult) Point(v float64) *VoltagePoint {
 // and count mismatches}, for every configured pattern and port. A crash
 // (voltage below V_critical) is recorded and the board power-cycled, as
 // the paper's procedure requires. With cfg.Workers > 1 the grid is
-// sharded across a board fleet (see SweepScheduler); results are
+// sharded across a board fleet (see RunReliabilitySweep); results are
 // bit-identical either way. Every exit — success, mid-sweep error, or
 // cancellation — leaves the board back at nominal voltage.
 func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
@@ -160,10 +160,38 @@ func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 
 // RunReliabilitySweep is RunReliability with context cancellation: a
 // cancelled ctx stops the sweep between voltage points and returns
-// ctx.Err().
+// ctx.Err(). With cfg.Workers > 1 the voltage points are sharded across
+// up to that many board clones and their fill/check passes across that
+// many goroutines (see scheduler.go); cfg.Board is the fleet template
+// and first driver's board.
 func RunReliabilitySweep(ctx context.Context, cfg ReliabilityConfig) (*ReliabilityResult, error) {
-	sch := &SweepScheduler{Workers: max(cfg.Workers, 1), OnProgress: cfg.OnPoint}
-	return sch.RunReliability(ctx, cfg)
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
+	margin, err := stats.MarginOfError(cfg.BatchSize, DefaultConfidence)
+	if err != nil {
+		return nil, err
+	}
+	res := &ReliabilityResult{
+		Margin: margin,
+		Points: make([]VoltagePoint, len(cfg.Grid)),
+	}
+	prog := &progressTracker{total: len(cfg.Grid), fn: cfg.OnPoint}
+
+	workers := max(cfg.Workers, 1)
+	passWorkers := workers
+	if cfg.SharedEnumeration {
+		passWorkers = 1 // the shared path runs its own per-point loop
+	}
+	if drivers := min(workers, len(cfg.Grid)); drivers > 1 {
+		err = runSharded(ctx, &cfg, res, prog, passWorkers, drivers)
+	} else {
+		err = runSequential(ctx, &cfg, res, prog, passWorkers)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // restoreNominal re-programs the board to V_nom, joining a restore

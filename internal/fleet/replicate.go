@@ -12,9 +12,9 @@ import "sync/atomic"
 // cost).
 //
 // The forwarder decides admission (it sees the payload and owns the
-// budget); the service manager performs the write (it owns the cache
-// tiers), honoring ServeInfo.Replicated: admitted payloads go through
-// every tier, the rest stay memory-only.
+// budget); the service manager performs the write (it owns the result
+// cache), honoring ServeInfo.Replicated: admitted payloads are written
+// through to disk, the rest stay memory-only on every later serve.
 
 // replicator is the admission ledger: a byte budget and the counters
 // /healthz's replication block and the hbmvolt_fleet_replicated_*

@@ -150,6 +150,62 @@ func TestReplicationBudgetExhaustedStaysOffDisk(t *testing.T) {
 	if runs := nodes[0].srv.Manager().Runs(); runs != 0 {
 		t.Fatalf("requester ran %d sweeps, want 0 (memory tier serves the skipped payload)", runs)
 	}
+	// Serving it again must not sneak it onto disk past the budget.
+	if st := nodes[0].srv.Manager().Stats(); st.DiskCache.Entries != 0 {
+		t.Fatalf("disk tier = %+v after the resubmit, want no entries (a skipped payload stays memory-only on every serve)", st.DiskCache)
+	}
+}
+
+// TestSkippedReplicaStaysOffDiskAfterRecordEviction covers the other
+// serve path: once the skipped payload's job record is evicted, a
+// resubmit is answered from the memory tier with a fresh pre-completed
+// record, and a submission coalescing onto that record must not write
+// the payload to disk either.
+func TestSkippedReplicaStaysOffDiskAfterRecordEviction(t *testing.T) {
+	dir := t.TempDir()
+	lns, urls := listenN(t, 2)
+	nodes := startNodesOn(t, lns, urls, func(i int, o *Options) {
+		o.ForwardTimeout = 500 * time.Millisecond
+		if i == 0 {
+			o.ReplicaBudget = 1 // any real payload overflows
+		}
+	}, func(i int, c *service.Config) {
+		if i == 0 {
+			c.CacheDir = dir
+			c.MaxJobs = 1
+		}
+	})
+	mgr := nodes[0].srv.Manager()
+	submit := func(req service.SweepRequest) *service.Job {
+		t.Helper()
+		j, _, _, err := mgr.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := j.Wait(t.Context()); err != nil || st != service.StateDone {
+			t.Fatalf("Wait = %v, %v", st, err)
+		}
+		return j
+	}
+	remote := smallReq(seedOwnedBy(t, nodes[0].fwd, nodes[1].url))
+	if info := submit(remote).ServeInfo(); info.ServedBy != nodes[1].url || info.Replicated {
+		t.Fatalf("ServeInfo = %+v, want a forwarded serve NOT admitted for replication", info)
+	}
+	// A locally owned key evicts the remote key's record (MaxJobs 1) and
+	// lands on disk itself.
+	submit(smallReq(seedOwnedBy(t, nodes[0].fwd, nodes[0].url)))
+	before := mgr.Stats().DiskCache.Entries
+	if before != 1 {
+		t.Fatalf("disk entries = %d after the local compute, want 1", before)
+	}
+	submit(remote) // answered from memory: a new pre-completed record
+	submit(remote) // coalesces onto that record
+	if st := mgr.Stats(); st.DiskCache.Entries != before {
+		t.Fatalf("disk tier = %+v, want %d entries (the skipped payload must stay off disk)", st.DiskCache, before)
+	}
+	if runs := mgr.Runs(); runs != 1 {
+		t.Fatalf("sweep_runs = %d, want 1 (only the local key computes)", runs)
+	}
 }
 
 // TestLocalPayloadsBypassReplicationBudget pins the budget's scope:

@@ -1,274 +1,165 @@
 package service
 
 import (
-	"fmt"
 	"sync"
 
 	"hbmvolt/internal/lru"
 	"hbmvolt/internal/telemetry"
 )
 
-// CacheTier is one storage level of the result cache: a payload store
-// keyed by the request cache key. Payload slices are stored and
+// cached is one result-cache entry. Payload slices are stored and
 // returned by reference and must be treated as immutable by all
 // parties; by the determinism contract a key's payload never changes,
-// so every tier keeps the first write. Implementations are safe for
-// concurrent use.
+// so both tiers keep the first write.
+type cached struct {
+	payload []byte
+	// durable reports whether the payload may be written to the disk
+	// tier: true for local compute, fleet-admitted replicas and disk
+	// hits; false for a forwarded payload the replicator skipped, so the
+	// replica byte budget bounds what remote data ever lands on disk.
+	durable bool
+}
+
+// resultCache is the manager's result store: a byte- and entry-bounded
+// memory LRU (internal/lru), plus the crash-durable DiskTier when the
+// manager has a cache directory. Durable entries are written through to
+// disk, so a crash after Put returns loses nothing a restart cannot
+// re-read; a lookup tries memory, then disk, and promotes a disk hit
+// into memory, so a payload that survived a restart is served from
+// memory from its second read on. It also owns the hit/miss accounting
+// /healthz reports.
 //
-// The service ships two tiers — the in-process MemoryTier (LRU) and the
-// crash-durable DiskTier — composed memory→disk write-through by the
-// manager. The interface is the seam the distributed-fabric roadmap
-// item plugs into (a Redis tier is another implementation, not another
-// cache).
-type CacheTier interface {
-	// Get returns the payload for key, refreshing its recency.
-	Get(key uint64) ([]byte, bool)
-	// Put stores a payload. Storing an existing key refreshes recency
-	// only; the stored bytes never change.
-	Put(key uint64, payload []byte)
-	// Len returns the live entry count.
-	Len() int
-	// Bytes returns the total payload bytes currently retained.
-	Bytes() int64
-	// Close flushes and releases the tier. The tier must not be used
-	// afterwards.
-	Close() error
-}
-
-// MemoryTier is the in-process CacheTier: a byte- and entry-bounded LRU
-// over payload bytes (internal/lru).
-type MemoryTier struct {
-	mu  sync.Mutex
-	lru *lru.Cache[uint64, []byte]
-}
-
-// NewMemoryTier builds a memory tier bounded by entry count and total
-// payload bytes.
-func NewMemoryTier(capacity int, maxBytes int64) *MemoryTier {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if maxBytes < 1 {
-		maxBytes = 1
-	}
-	return &MemoryTier{lru: lru.New[uint64, []byte](capacity, maxBytes)}
-}
-
-// Get returns the payload for key, marking it most recently used.
-func (t *MemoryTier) Get(key uint64) ([]byte, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lru.Get(key)
-}
-
-// Put stores a payload, evicting least recently used entries while the
-// entry or byte budget is exceeded.
-func (t *MemoryTier) Put(key uint64, payload []byte) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.lru.Add(key, payload, int64(len(payload)))
-}
-
-// Len returns the live entry count.
-func (t *MemoryTier) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lru.Len()
-}
-
-// Bytes returns the total payload bytes currently retained.
-func (t *MemoryTier) Bytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lru.Bytes()
-}
-
-// Evictions returns the cumulative capacity-eviction count.
-func (t *MemoryTier) Evictions() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lru.Evictions()
-}
-
-// Close is a no-op for the memory tier.
-func (t *MemoryTier) Close() error { return nil }
-
-// resultCache composes the cache tiers memory-first, write-through:
-// a Put lands in every tier, a Get walks tiers top-down and promotes a
-// lower-tier hit back into the tiers above it, so a payload that
-// survived a restart on disk is served from memory from its second
-// read on. It also owns the hit/miss accounting /healthz reports.
-//
-// Eviction pressure is measured in payload bytes (internal/lru),
-// uniformly across result kinds: a campaign analytic envelope (a
-// faultmap study carries the whole Fig. 4/5/6 atlas) weighs what it
-// actually retains, the same way sweep payloads do, rather than
-// counting as one entry like a two-point reliability sweep. An
-// entry-count bound still applies on top, so a flood of tiny payloads
-// cannot grow the index without limit.
+// Eviction pressure is measured in payload bytes, uniformly across
+// result kinds: a campaign analytic envelope (a faultmap study carries
+// the whole Fig. 4/5/6 atlas) weighs what it actually retains, the same
+// way sweep payloads do, rather than counting as one entry like a
+// two-point reliability sweep. An entry-count bound still applies on
+// top, so a flood of tiny payloads cannot grow the index without limit.
 type resultCache struct {
-	mu sync.Mutex
-	// tiers is ordered fastest-first; tiers[0] is always the MemoryTier,
-	// tiers[1] (when present) the DiskTier.
-	tiers []CacheTier
-	// names labels the tiers in /metrics ("memory", "disk").
-	names []string
+	// mu guards mem and serializes promotion and write-through, so a
+	// disk hit and a concurrent Put of the same key cannot interleave.
+	mu   sync.Mutex
+	mem  *lru.Cache[uint64, cached]
+	disk *DiskTier // nil without a cache directory
 
-	// hit[i] / miss[i] are the hbmvolt_cache_requests_total series for
-	// tiers[i]: a hit answers from that tier, a miss falls through to
-	// the next (or, from the last tier, to compute). /healthz derives
-	// its cache_hits/cache_misses from these same counters — Touch
-	// counts as a memory hit, a composite miss is a last-tier miss.
-	hit, miss []*telemetry.Counter
+	// memHit/memMiss and diskHit/diskMiss are the
+	// hbmvolt_cache_requests_total series: a hit answers from that tier,
+	// a miss falls through to the next (or, from the last tier, to
+	// compute). The disk series exist only with a disk tier. /healthz
+	// derives its cache_hits/cache_misses from these same counters —
+	// Touch counts as a memory hit, a composite miss is a last-tier miss.
+	memHit, memMiss, diskHit, diskMiss *telemetry.Counter
 }
 
-// tierName labels a cache tier for metrics.
-func tierName(t CacheTier, i int) string {
-	switch t.(type) {
-	case *MemoryTier:
-		return "memory"
-	case *DiskTier:
-		return "disk"
-	}
-	return fmt.Sprintf("tier%d", i)
-}
-
-// newResultCache composes tiers fastest-first, registering each tier's
-// lookup counters in met (nil met gets a private throwaway registry,
-// for tests that only care about cache behavior).
-func newResultCache(met *serviceMetrics, tiers ...CacheTier) *resultCache {
+// newResultCache builds the store: a memory LRU bounded by entry count
+// and total payload bytes, over disk when non-nil. Its lookup counters
+// are registered in met (nil met gets a private throwaway registry, for
+// tests that only care about cache behavior).
+func newResultCache(met *serviceMetrics, entries int, maxBytes int64, disk *DiskTier) *resultCache {
 	if met == nil {
 		met = newServiceMetrics(telemetry.NewRegistry())
 	}
-	c := &resultCache{tiers: tiers}
-	for i, t := range tiers {
-		name := tierName(t, i)
-		c.names = append(c.names, name)
-		c.hit = append(c.hit, met.cacheReq.With(name, "hit"))
-		c.miss = append(c.miss, met.cacheReq.With(name, "miss"))
+	c := &resultCache{
+		mem:     lru.New[uint64, cached](max(entries, 1), max(maxBytes, 1)),
+		disk:    disk,
+		memHit:  met.cacheReq.With("memory", "hit"),
+		memMiss: met.cacheReq.With("memory", "miss"),
+	}
+	if disk != nil {
+		c.diskHit = met.cacheReq.With("disk", "hit")
+		c.diskMiss = met.cacheReq.With("disk", "miss")
 	}
 	return c
 }
 
-// Get returns the payload for key from the fastest tier holding it,
-// promoting lower-tier hits into the tiers above.
-func (c *resultCache) Get(key uint64) ([]byte, bool) {
-	payload, _, ok := c.getTier(key)
-	return payload, ok
-}
-
-// getTier is Get plus the name of the tier that answered, for the
-// trace layer's cache.lookup spans.
-func (c *resultCache) getTier(key uint64) (payload []byte, tier string, ok bool) {
+// getTier returns the entry for key from the fastest tier holding it,
+// plus that tier's name for the trace layer's cache.lookup spans. A disk
+// hit is promoted into memory.
+func (c *resultCache) getTier(key uint64) (e cached, tier string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, t := range c.tiers {
-		payload, ok := t.Get(key)
-		if !ok {
-			c.miss[i].Inc()
-			continue
-		}
-		for j := 0; j < i; j++ {
-			c.tiers[j].Put(key, payload)
-		}
-		c.hit[i].Inc()
-		return payload, c.names[i], true
+	if e, ok := c.mem.Get(key); ok {
+		c.memHit.Inc()
+		return e, "memory", true
 	}
-	return nil, "", false
-}
-
-// Put stores a payload write-through: every tier receives it, so a
-// crash after Put returns loses nothing a restart cannot re-read.
-func (c *resultCache) Put(key uint64, payload []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, tier := range c.tiers {
-		tier.Put(key, payload)
+	c.memMiss.Inc()
+	if c.disk == nil {
+		return cached{}, "", false
 	}
+	payload, ok := c.disk.Get(key)
+	if !ok {
+		c.diskMiss.Inc()
+		return cached{}, "", false
+	}
+	e = cached{payload: payload, durable: true}
+	c.mem.Add(key, e, int64(len(payload)))
+	c.diskHit.Inc()
+	return e, "disk", true
 }
 
-// PutMemory stores a payload in the memory tier only, leaving the
-// durable tier untouched. The manager uses it for forwarded payloads
-// the fleet did not admit for replication: the bytes stay servable
-// while hot, but never charge the disk tier — the owner's durable
-// copy remains the canonical one.
-func (c *resultCache) PutMemory(key uint64, payload []byte) {
+// Put stores an entry in memory and, when it is durable, writes it
+// through to disk.
+func (c *resultCache) Put(key uint64, e cached) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tiers[0].Put(key, payload)
+	c.putLocked(key, e)
 }
 
-// Touch records a served-from-cache event for a payload that may or may
+// Touch records a served-from-cache event for an entry that may or may
 // not still be resident: resident entries are refreshed, evicted ones
-// re-inserted (write-through, so the disk tier re-durables a payload
-// that only survived on a completed job). Either way it counts as a
-// hit — the caller served the bytes without recomputation, which is
-// what the hit counter measures.
-func (c *resultCache) Touch(key uint64, payload []byte) {
+// re-inserted (a durable payload that only survived on a completed job
+// is re-written to disk). Either way it counts as a hit — the caller
+// served the bytes without recomputation, which is what the hit counter
+// measures.
+func (c *resultCache) Touch(key uint64, e cached) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.hit[0].Inc()
-	for _, tier := range c.tiers {
-		tier.Put(key, payload)
+	c.memHit.Inc()
+	c.putLocked(key, e)
+}
+
+func (c *resultCache) putLocked(key uint64, e cached) {
+	c.mem.Add(key, e, int64(len(e.payload)))
+	if e.durable && c.disk != nil {
+		c.disk.Put(key, e.payload)
 	}
 }
 
 // Len returns the live entry count of the memory tier.
-func (c *resultCache) Len() int { return c.tiers[0].Len() }
-
-// Bytes returns the payload bytes retained by the memory tier.
-func (c *resultCache) Bytes() int64 { return c.tiers[0].Bytes() }
-
-// Stats returns cumulative hit/miss counters, read from the same
-// telemetry series /metrics renders: hits across all tiers (Touch
-// included), misses of the last tier (a composite miss).
-func (c *resultCache) Stats() (hits, misses uint64) {
-	for _, h := range c.hit {
-		hits += h.Value()
-	}
-	return hits, c.miss[len(c.miss)-1].Value()
-}
-
-// sampleTiers snapshots one per-tier value as labeled samples, for the
-// registry's sampler-backed cache families.
-func (c *resultCache) sampleTiers(f func(CacheTier) float64) []telemetry.Sample {
-	out := make([]telemetry.Sample, len(c.tiers))
-	for i, t := range c.tiers {
-		out[i] = telemetry.Sample{Labels: []string{c.names[i]}, Value: f(t)}
-	}
-	return out
-}
-
-// disk returns the disk tier, if one is configured.
-func (c *resultCache) disk() (*DiskTier, bool) {
-	for _, tier := range c.tiers {
-		if d, ok := tier.(*DiskTier); ok {
-			return d, true
-		}
-	}
-	return nil, false
-}
-
-// diskHits returns the cumulative Gets answered by the disk tier.
-func (c *resultCache) diskHits() uint64 {
-	for i, name := range c.names {
-		if name == "disk" {
-			return c.hit[i].Value()
-		}
-	}
-	return 0
-}
-
-// Close releases every tier (slowest first, so the durable tier's final
-// flush happens while the process is still healthy).
-func (c *resultCache) Close() error {
+func (c *resultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var first error
-	for i := len(c.tiers) - 1; i >= 0; i-- {
-		if err := c.tiers[i].Close(); err != nil && first == nil {
-			first = err
-		}
+	return c.mem.Len()
+}
+
+// Bytes returns the payload bytes retained by the memory tier.
+func (c *resultCache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.mem.Bytes()
+}
+
+// Evictions returns the memory tier's cumulative capacity evictions.
+func (c *resultCache) Evictions() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.mem.Evictions()
+}
+
+// Stats returns cumulative hit/miss counters, read from the same
+// telemetry series /metrics renders: hits across both tiers (Touch
+// included), misses of the last tier (a composite miss).
+func (c *resultCache) Stats() (hits, misses uint64) {
+	if c.disk == nil {
+		return c.memHit.Value(), c.memMiss.Value()
 	}
-	return first
+	return c.memHit.Value() + c.diskHit.Value(), c.diskMiss.Value()
+}
+
+// Close flushes the disk tier, if any.
+func (c *resultCache) Close() error {
+	if c.disk == nil {
+		return nil
+	}
+	return c.disk.Close()
 }

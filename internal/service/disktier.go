@@ -15,8 +15,9 @@ import (
 	tlog "hbmvolt/internal/telemetry/log"
 )
 
-// DiskTier is the crash-durable CacheTier: one file per payload under a
-// cache directory, written atomically and verified on every read.
+// DiskTier is the result cache's crash-durable tier: one file per
+// payload under a cache directory, written atomically and verified on
+// every read.
 //
 // On-disk layout (documented in README "Resilience"):
 //
@@ -327,7 +328,7 @@ func (d *DiskTier) Bytes() int64 {
 }
 
 // Stats snapshots the tier's counters (Hits is owned and filled by the
-// manager's composite cache).
+// manager's result cache).
 func (d *DiskTier) Stats() DiskStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()

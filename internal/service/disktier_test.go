@@ -252,48 +252,58 @@ func TestDiskTierWriteFaultInjection(t *testing.T) {
 }
 
 func TestTieredCacheWriteThroughAndPromotion(t *testing.T) {
-	mem := NewMemoryTier(2, 1<<20)
 	logger, _ := collectLogs(t)
 	disk, err := NewDiskTier(t.TempDir(), 0, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newResultCache(nil, mem, disk)
+	c := newResultCache(nil, 2, 1<<20, disk)
+	put := func(key uint64, payload string) {
+		c.Put(key, cached{payload: []byte(payload), durable: true})
+	}
 
-	c.Put(1, []byte("one"))
+	put(1, "one")
 	if disk.Len() != 1 {
 		t.Fatal("Put did not write through to disk")
 	}
 	// Overflow the memory tier; entry 1 ages out of memory but stays on
 	// disk.
-	c.Put(2, []byte("two"))
-	c.Put(3, []byte("three"))
-	if mem.Len() != 2 || disk.Len() != 3 {
-		t.Fatalf("mem=%d disk=%d", mem.Len(), disk.Len())
+	put(2, "two")
+	put(3, "three")
+	if c.Len() != 2 || disk.Len() != 3 {
+		t.Fatalf("mem=%d disk=%d", c.Len(), disk.Len())
 	}
-	if _, ok := mem.Get(1); ok {
-		t.Fatal("entry 1 still in memory tier")
+	got, tier, ok := c.getTier(1)
+	if !ok || string(got.payload) != "one" || tier != "disk" || !got.durable {
+		t.Fatalf("disk-tier hit failed: %q from %q (durable %v)", got.payload, tier, got.durable)
 	}
-	got, ok := c.Get(1)
-	if !ok || string(got) != "one" {
-		t.Fatal("disk-tier hit failed")
-	}
-	if c.diskHits() != 1 {
-		t.Fatalf("diskHits = %d, want 1", c.diskHits())
+	if c.diskHit.Value() != 1 {
+		t.Fatalf("disk hits = %d, want 1", c.diskHit.Value())
 	}
 	// The hit promoted the entry back into memory.
-	if _, ok := mem.Get(1); !ok {
-		t.Fatal("disk hit not promoted to memory tier")
+	if _, tier, _ := c.getTier(1); tier != "memory" {
+		t.Fatalf("disk hit not promoted to memory tier (second read from %q)", tier)
 	}
 	hits, misses := c.Stats()
-	if hits != 1 || misses != 0 {
+	if hits != 2 || misses != 0 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
-	if _, ok := c.Get(99); ok {
+	if _, _, ok := c.getTier(99); ok {
 		t.Fatal("phantom entry")
 	}
 	if _, m := c.Stats(); m != 1 {
 		t.Fatalf("miss not counted: %d", m)
+	}
+
+	// A non-durable entry is served from memory but never reaches disk,
+	// however it is stored or touched.
+	c.Put(4, cached{payload: []byte("four")})
+	c.Touch(4, cached{payload: []byte("four")})
+	if disk.Len() != 3 {
+		t.Fatalf("disk=%d after a non-durable Put/Touch, want 3", disk.Len())
+	}
+	if got, tier, ok := c.getTier(4); !ok || tier != "memory" || got.durable {
+		t.Fatalf("non-durable entry: ok=%v tier=%q durable=%v", ok, tier, got.durable)
 	}
 }
 

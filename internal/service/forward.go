@@ -19,9 +19,9 @@ type ServeInfo struct {
 	// Replicated is true when the payload came from a remote peer and
 	// the forwarder admitted it (within its replica byte budget) for
 	// write-through to this node's durable cache tier. The Manager honors
-	// it in runJob: admitted payloads go through every cache tier, so a
+	// it in runJob: admitted payloads are written through to disk, so a
 	// later owner failure serves the key from local disk without a sweep;
-	// non-admitted remote payloads stay memory-only.
+	// non-admitted remote payloads stay memory-only on every serve.
 	Replicated bool
 }
 

@@ -75,6 +75,10 @@ type Job struct {
 	state   JobState
 	errMsg  string
 	payload []byte
+	// durable is the payload's cache-entry bit (see cached): set by
+	// runJob before finish, or copied from the entry a cache hit served,
+	// so every later serve of this record honors the replica budget.
+	durable bool
 	events  []Event
 	// serve records which fleet node produced the payload (zero when no
 	// forwarder is configured).
@@ -172,6 +176,13 @@ func (j *Job) Payload() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.payload
+}
+
+// cached returns the job's payload as a result-cache entry.
+func (j *Job) cached() cached {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return cached{payload: j.payload, durable: j.durable}
 }
 
 // ServeInfo returns the job's fleet serving record (zero value when no
@@ -413,13 +424,12 @@ func OpenManager(cfg Config) (*Manager, error) {
 		reg = telemetry.NewRegistry()
 	}
 	met := newServiceMetrics(reg)
-	tiers := []CacheTier{NewMemoryTier(cfg.CacheEntries, cfg.CacheBytes)}
+	var disk *DiskTier
 	if cfg.CacheDir != "" {
-		disk, err := NewDiskTier(cfg.CacheDir, cfg.DiskCacheBytes, cfg.Logger)
-		if err != nil {
+		var err error
+		if disk, err = NewDiskTier(cfg.CacheDir, cfg.DiskCacheBytes, cfg.Logger); err != nil {
 			return nil, err
 		}
-		tiers = append(tiers, disk)
 	}
 	node := "local"
 	if cfg.Forwarder != nil {
@@ -428,7 +438,7 @@ func OpenManager(cfg Config) (*Manager, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:     cfg,
-		cache:   newResultCache(met, tiers...),
+		cache:   newResultCache(met, cfg.CacheEntries, cfg.CacheBytes, disk),
 		latency: newLatencyTracker(),
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.RateBurst, met.rejected.With("rate")),
 		forward: cfg.Forwarder,
@@ -546,7 +556,7 @@ func (m *Manager) SubmitOpts(req SweepRequest, opts SubmitOptions) (job *Job, co
 			if st == StateDone {
 				// Served without recomputation: count the hit and keep
 				// the payload warm in the LRU.
-				m.cache.Touch(key, j.Payload())
+				m.cache.Touch(key, j.cached())
 				outcome = "cache_hit"
 			}
 			// The caller now holds this job: make it the newest record
@@ -558,11 +568,12 @@ func (m *Manager) SubmitOpts(req SweepRequest, opts SubmitOptions) (job *Job, co
 	}
 	// Evicted job but retained payload: answer from the LRU with a
 	// pre-completed job, no queueing, no recomputation.
-	if payload, tier, ok := m.cache.getTier(key); ok {
+	if e, tier, ok := m.cache.getTier(key); ok {
 		j := m.newJobLocked(key, req, nil)
 		j.trace = opts.TraceID
 		j.state = StateDone
-		j.payload = payload
+		j.payload = e.payload
+		j.durable = e.durable
 		j.events = []Event{{Type: string(StateDone)}}
 		if opts.TraceID != "" {
 			m.rec.Record(opts.TraceID, "cache.lookup", map[string]string{
@@ -706,7 +717,8 @@ func (m *Manager) Runs() uint64 { return m.met.sweepRuns.Value() }
 // by the read, so a corrupted payload reports a miss here and the
 // caller recomputes.
 func (m *Manager) Cached(key uint64) ([]byte, bool) {
-	return m.cache.Get(key)
+	e, _, ok := m.cache.getTier(key)
+	return e.payload, ok
 }
 
 // AllowClient spends one admission token for client (the per-client
@@ -789,9 +801,9 @@ func (m *Manager) Stats() Stats {
 		st.Fleet = m.forward.Health()
 	}
 	st.CacheHits, st.CacheMisses = m.cache.Stats()
-	if disk, ok := m.cache.disk(); ok {
+	if disk := m.cache.disk; disk != nil {
 		ds := disk.Stats()
-		ds.Hits = m.cache.diskHits()
+		ds.Hits = m.cache.diskHit.Value()
 		st.DiskCache = &ds
 	}
 	for _, j := range jobs {
@@ -854,16 +866,14 @@ func (m *Manager) runJob(j *Job) {
 	var final JobState
 	switch {
 	case err == nil:
-		// Locally computed payloads (and fleet-admitted remote ones) go
-		// write-through to every tier; a forwarded payload the fleet did
-		// not admit for replication stays memory-only, so the replica byte
-		// budget actually bounds what remote data lands on local disk.
-		if info := j.ServeInfo(); m.forward != nil && info.ServedBy != "" &&
-			info.ServedBy != m.forward.Self() && !info.Replicated {
-			m.cache.PutMemory(j.Key, payload)
-		} else {
-			m.cache.Put(j.Key, payload)
-		}
+		// Locally computed payloads (and fleet-admitted remote ones) are
+		// durable; a forwarded payload the fleet did not admit for
+		// replication stays memory-only on this and every later serve, so
+		// the replica byte budget bounds what remote data lands on disk.
+		info := j.ServeInfo()
+		j.durable = m.forward == nil || info.ServedBy == "" ||
+			info.ServedBy == m.forward.Self() || info.Replicated
+		m.cache.Put(j.Key, cached{payload: payload, durable: j.durable})
 		j.finish(StateDone, payload, "")
 		final = StateDone
 		m.met.payloadBytes.Observe(float64(len(payload)))

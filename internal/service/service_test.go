@@ -537,17 +537,17 @@ func asAPIError(err error, target **APIError) bool {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	cch := newResultCache(nil, NewMemoryTier(2, 1<<20))
-	cch.Put(1, []byte("a"))
-	cch.Put(2, []byte("b"))
-	if _, ok := cch.Get(1); !ok { // refresh 1; 2 is now LRU
+	cch := newResultCache(nil, 2, 1<<20, nil)
+	cch.Put(1, cached{payload: []byte("a")})
+	cch.Put(2, cached{payload: []byte("b")})
+	if _, _, ok := cch.getTier(1); !ok { // refresh 1; 2 is now LRU
 		t.Fatal("entry 1 missing")
 	}
-	cch.Put(3, []byte("c"))
-	if _, ok := cch.Get(2); ok {
+	cch.Put(3, cached{payload: []byte("c")})
+	if _, _, ok := cch.getTier(2); ok {
 		t.Fatal("entry 2 should have been evicted")
 	}
-	if _, ok := cch.Get(1); !ok {
+	if _, _, ok := cch.getTier(1); !ok {
 		t.Fatal("entry 1 evicted despite recency")
 	}
 	if cch.Len() != 2 {
@@ -560,19 +560,19 @@ func TestCacheLRUEviction(t *testing.T) {
 // eviction pressure per byte as sweep payloads, and the byte counter
 // always equals the sum of retained payload sizes.
 func TestCacheByteAccounting(t *testing.T) {
-	cch := newResultCache(nil, NewMemoryTier(100, 100))
-	cch.Put(1, make([]byte, 40)) // a "sweep" payload
-	cch.Put(2, make([]byte, 40)) // another
+	cch := newResultCache(nil, 100, 100, nil)
+	cch.Put(1, cached{payload: make([]byte, 40)}) // a "sweep" payload
+	cch.Put(2, cached{payload: make([]byte, 40)}) // another
 	if got := cch.Bytes(); got != 80 {
 		t.Fatalf("bytes = %d, want 80", got)
 	}
 	// A 60-byte "faultmap envelope" overflows the budget: the LRU entry
 	// (key 1) goes, not an entry count's worth.
-	cch.Put(3, make([]byte, 60))
-	if _, ok := cch.Get(1); ok {
+	cch.Put(3, cached{payload: make([]byte, 60)})
+	if _, _, ok := cch.getTier(1); ok {
 		t.Fatal("oldest entry survived byte-pressure eviction")
 	}
-	if _, ok := cch.Get(2); !ok {
+	if _, _, ok := cch.getTier(2); !ok {
 		t.Fatal("entry 2 evicted though the byte budget held")
 	}
 	if got := cch.Bytes(); got != 100 {
@@ -580,14 +580,14 @@ func TestCacheByteAccounting(t *testing.T) {
 	}
 	// An envelope larger than the whole budget evicts the rest but
 	// itself survives (newest entry always retained).
-	cch.Put(4, make([]byte, 150))
+	cch.Put(4, cached{payload: make([]byte, 150)})
 	if cch.Len() != 1 {
 		t.Fatalf("len = %d, want 1", cch.Len())
 	}
 	if got := cch.Bytes(); got != 150 {
 		t.Fatalf("bytes = %d, want 150", got)
 	}
-	if _, ok := cch.Get(4); !ok {
+	if _, _, ok := cch.getTier(4); !ok {
 		t.Fatal("oversized entry not retained")
 	}
 }

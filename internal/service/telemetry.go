@@ -12,7 +12,7 @@ import (
 )
 
 // serviceMetrics bundles the manager's live instruments. Samplers over
-// pre-existing counters (cache tiers, enum store, queue) are registered
+// pre-existing counters (result cache, enum store, queue) are registered
 // separately by registerSamplers once the manager exists.
 type serviceMetrics struct {
 	// submitted counts submissions by resolution: accepted (queued for
@@ -33,7 +33,7 @@ type serviceMetrics struct {
 	// payloadBytes observes completed payload sizes.
 	payloadBytes *telemetry.Histogram
 	// cacheReq counts result-cache lookups per tier and outcome; the
-	// composite cache increments it, /healthz sums it.
+	// result cache increments it, /healthz sums it.
 	cacheReq *telemetry.CounterVec
 }
 
@@ -62,7 +62,7 @@ func newServiceMetrics(r *telemetry.Registry) *serviceMetrics {
 }
 
 // registerSamplers exposes the manager's live state — queue, job
-// table, cache tiers, shared enum store — as sampler-backed families
+// table, result cache, shared enum store — as sampler-backed families
 // that read the very structures /healthz reports.
 func (m *Manager) registerSamplers() {
 	one := func(v float64) []telemetry.Sample { return []telemetry.Sample{{Value: v}} }
@@ -93,27 +93,30 @@ func (m *Manager) registerSamplers() {
 			return out
 		})
 
+	// tiers labels one value per result-cache tier: memory, then disk
+	// when configured.
+	tiers := func(mem func() float64, disk func(DiskStats) float64) func() []telemetry.Sample {
+		return func() []telemetry.Sample {
+			out := []telemetry.Sample{{Labels: []string{"memory"}, Value: mem()}}
+			if d := m.cache.disk; d != nil {
+				out = append(out, telemetry.Sample{Labels: []string{"disk"}, Value: disk(d.Stats())})
+			}
+			return out
+		}
+	}
 	m.reg.GaugeSampler("hbmvolt_cache_entries", "Entries retained per result-cache tier.",
-		[]string{"tier"}, func() []telemetry.Sample {
-			return m.cache.sampleTiers(func(t CacheTier) float64 { return float64(t.Len()) })
-		})
+		[]string{"tier"}, tiers(
+			func() float64 { return float64(m.cache.Len()) },
+			func(s DiskStats) float64 { return float64(s.Entries) }))
 	m.reg.GaugeSampler("hbmvolt_cache_bytes", "Payload bytes retained per result-cache tier.",
-		[]string{"tier"}, func() []telemetry.Sample {
-			return m.cache.sampleTiers(func(t CacheTier) float64 { return float64(t.Bytes()) })
-		})
+		[]string{"tier"}, tiers(
+			func() float64 { return float64(m.cache.Bytes()) },
+			func(s DiskStats) float64 { return float64(s.Bytes) }))
 	m.reg.CounterSampler("hbmvolt_cache_evictions_total", "Capacity evictions per result-cache tier.",
-		[]string{"tier"}, func() []telemetry.Sample {
-			return m.cache.sampleTiers(func(t CacheTier) float64 {
-				switch tt := t.(type) {
-				case *MemoryTier:
-					return float64(tt.Evictions())
-				case *DiskTier:
-					return float64(tt.Stats().Evicted)
-				}
-				return 0
-			})
-		})
-	if disk, ok := m.cache.disk(); ok {
+		[]string{"tier"}, tiers(
+			func() float64 { return float64(m.cache.Evictions()) },
+			func(s DiskStats) float64 { return float64(s.Evicted) }))
+	if disk := m.cache.disk; disk != nil {
 		m.reg.CounterSampler("hbmvolt_disk_recovered_entries_total",
 			"Disk-tier entries the boot recovery scan verified and repopulated.", nil,
 			func() []telemetry.Sample { return one(float64(disk.Stats().Recovered)) })

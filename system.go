@@ -44,8 +44,6 @@ type (
 	PowerSweepResult = core.PowerSweepResult
 	// PowerSweepConfig parameterizes the power sweep.
 	PowerSweepConfig = core.PowerSweepConfig
-	// SweepScheduler shards reliability sweeps across a board fleet.
-	SweepScheduler = core.SweepScheduler
 	// SweepProgress reports one completed voltage point of a sweep.
 	SweepProgress = core.SweepProgress
 	// ECCStudy is the SEC-DED mitigation analysis.
